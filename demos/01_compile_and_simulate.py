@@ -4,7 +4,7 @@
 The walk-through below builds the benchmark problem (pendulum on a cart,
 horizon 2, box constraints on force, cart position, and pole angle), condenses
 it into a dense QP, derives the network weights, and then runs the sampled
-closed loop twice: once with the brute-force QP solver and once with the
+closed loop twice: once with the exact QP solver and once with the
 firing-rate network settling between samples.  The two controllers should be
 numerically indistinguishable.
 """
@@ -32,7 +32,7 @@ print(f"  first labels       : {data.node_labels[:2]} ...")
 
 # --------------------------------------------------- one sample, two solvers
 x0 = config.x0
-sol = nm.solve_active_set_enumeration(qp, x0)
+sol = nm.solve_qp(qp, x0)
 net = nm.FiringRateNetwork(data=data, eta=config.eta)
 lam, settled = nm.settle(net, x0, tol=1e-10, max_time=0.2)
 u_net = nm.extract_control(net, lam, x0)

@@ -43,7 +43,7 @@ infeasible = nm.CondensedQp(
 )
 print("\ninfeasible toy problem (u <= -1 and u >= 2):")
 try:
-    nm.solve_active_set_enumeration(infeasible, np.zeros(1))
+    nm.solve_qp(infeasible, np.zeros(1))
 except nm.InfeasibleProblem as exc:
     print(f"  QP solver          : {exc}")
 

@@ -5,8 +5,8 @@ turns the dual projected-gradient flow into a rectified firing-rate network,
 simulates that network in closed loop with the plant, and generates provably or
 approximately equivalent alternatives: multilayer factorizations, pruned
 networks with contraction-based deviation bounds, and slack-augmented networks
-that stay feasible.  A brute-force active-set QP solver anchors every
-equivalence claim.
+that stay feasible.  An exact least-distance QP solver (Lawson-Hanson NNLS)
+anchors every equivalence claim.
 """
 
 from .analytics import (
@@ -81,11 +81,13 @@ from .plant import (
 )
 from .qp_oracle import (
     InfeasibleProblem,
+    KktCheckError,
     QpSolution,
     dual_objective,
     primal_from_dual,
     solve_active_set_enumeration,
     solve_projected_gradient,
+    solve_qp,
 )
 
 __version__ = "0.1.0"

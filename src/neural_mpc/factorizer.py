@@ -102,8 +102,11 @@ def palm_factorize(
     -------
     (omega, psi, residual_history)
         residual_history[i] is the Frobenius residual after sweep i; it is
-        non-increasing up to 1e-12 slack.  Iteration stops at k_bar sweeps or
-        when the relative residual change drops below 1e-10.
+        non-increasing up to 1e-12 slack.  Iteration stops at k_bar sweeps,
+        when the relative residual change drops below 1e-10, or when the
+        residual reaches rounding noise, 64 eps ||theta||_F; below that floor
+        the change rule can fail forever as the residual alternates between
+        noise values.
     """
     theta = prob.theta
     k = prob.inner_dim
@@ -121,6 +124,7 @@ def palm_factorize(
     if omega.shape != (theta.shape[0], k) or psi.shape != (k, theta.shape[1]):
         raise ValueError("initial factor shapes inconsistent with problem")
 
+    floor = 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
     history = []
     prev = None
     for _ in range(prob.k_bar):
@@ -138,6 +142,8 @@ def palm_factorize(
         if not np.isfinite(res):
             raise FloatingPointError("PALM iterates diverged (non-finite residual)")
         history.append(res)
+        if res <= floor:
+            break
         if prev is not None and abs(res - prev) <= 1e-10 * max(prev, 1e-12):
             break
         prev = res

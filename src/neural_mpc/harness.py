@@ -59,7 +59,7 @@ from .plant import (
     propagate_nonlinear_cartpole,
     solve_dare,
 )
-from .qp_oracle import InfeasibleProblem, solve_active_set_enumeration
+from .qp_oracle import InfeasibleProblem, solve_qp
 
 log = logging.getLogger("neural_mpc")
 
@@ -296,7 +296,7 @@ class _OracleController:
 
     def compute(self, x, record=False):
         try:
-            sol = solve_active_set_enumeration(self.qp, x)
+            sol = solve_qp(self.qp, x)
         except InfeasibleProblem:
             log.info("oracle: infeasible sample, holding previous input")
             return self.last_u, False, float("nan"), None

@@ -1,10 +1,11 @@
-"""Brute-force reference solvers for the condensed QP.
+"""Exact reference solvers for the condensed QP.
 
-The active-set enumeration is the trust anchor for every equivalence check in
-the package: it visits every candidate active set, solves the corresponding
-equality-constrained KKT system, and keeps the feasible, dual-nonnegative
-candidate with the smallest objective.  A projected-gradient iteration on the
-dual serves as an independent cross-check.
+``solve_qp`` is the trust anchor for every equivalence check in the package:
+it writes the QP as a least-distance problem and solves that with one
+Lawson-Hanson NNLS call, which terminates finitely at any horizon, and refuses
+any answer that fails its own KKT check.  Two independent solvers cross-check
+it in the tests: the brute-force active-set enumeration, which visits every
+candidate active set (m <= 24), and a projected-gradient iteration on the dual.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import nnls
 
 from .condenser import CondensedQp
 
 
 class InfeasibleProblem(Exception):
-    """Raised when no constraint subset yields a primal-feasible candidate."""
+    """Raised when the constraints admit no primal-feasible point."""
+
+
+class KktCheckError(RuntimeError):
+    """Raised when a solver's answer fails its KKT check."""
 
 
 @dataclass
@@ -34,6 +40,78 @@ class QpSolution:
 
 def _objective(qp: CondensedQp, x0: np.ndarray, u: np.ndarray) -> float:
     return float(0.5 * u @ qp.h @ u + x0 @ qp.s.T @ u)
+
+
+def solve_qp(qp: CondensedQp, x0: np.ndarray, tol: float = 1e-9) -> QpSolution:
+    """Solve the condensed QP exactly by NNLS on its least-distance form.
+
+    With H = L L' and v = L'u + L^-1 S x0 the QP becomes min 1/2 ||v||^2
+    s.t. E v <= f, with E = G L^-T and f = g + T x0 + G H^-1 S x0 (Lawson &
+    Hanson, *Solving Least Squares Problems*, 1974, ch. 23).  One NNLS solve
+    y = argmin_{y >= 0} ||[-E'; -f'] y - e_{n+1}|| with residual r gives
+    v = -r[:n] / r[n], the dual lam = y / (1 + f'y) and u = -H^-1 S x0 + L^-T v.
+    A vanishing residual certifies that the constraints are infeasible.
+
+    Among multiple optimal dual vectors the minimal-Euclidean-norm one is
+    returned: when the rows active at u* are rank-deficient, the support
+    search of the enumeration replaces the NNLS dual (for up to 16 active
+    rows; beyond that the NNLS dual is kept).
+
+    Raises
+    ------
+    InfeasibleProblem
+        If no u satisfies all constraints.
+    KktCheckError
+        If the answer misses primal feasibility, dual sign, stationarity or
+        complementarity by more than ``tol`` (scaled to the data).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n_u = qp.h.shape[0]
+    low = np.linalg.cholesky(qp.h)
+    c_vec = np.linalg.solve(low, qp.s @ x0)  # L^-1 S x0
+    e_mat = np.linalg.solve(low, qp.g_mat.T).T
+    w_vec = qp.g_vec + qp.t_mat @ x0
+    mat = np.vstack([-e_mat.T, -(w_vec + e_mat @ c_vec)])
+    rhs = np.zeros(n_u + 1)
+    rhs[n_u] = 1.0
+    y, rnorm = nnls(mat, rhs)
+    resid = mat @ y - rhs
+    if rnorm <= 1e-12 or resid[n_u] >= 0.0:
+        raise InfeasibleProblem("least-distance problem has no solution; QP is infeasible")
+    u = np.linalg.solve(low.T, -resid[:n_u] / resid[n_u] - c_vec)
+    sol = QpSolution(u=u, lam=y / -resid[n_u], active=(), objective=_objective(qp, x0, u))
+
+    slack = w_vec - qp.g_mat @ u
+    act = np.flatnonzero(slack <= tol * max(1.0, np.max(np.abs(qp.g_vec))))
+    if act.size > 1 and np.linalg.matrix_rank(qp.g_mat[act]) < act.size:
+        lam_min = _minimal_norm_dual(qp, x0, sol, tol)
+        if lam_min is not None:
+            sol.lam = lam_min
+    sol.active = tuple(np.flatnonzero(sol.lam > tol).tolist())
+    _check_kkt(qp, x0, sol, w_vec, slack, tol)
+    return sol
+
+
+def _check_kkt(qp, x0, sol: QpSolution, w_vec, slack, tol: float) -> None:
+    """Raise KktCheckError unless (u, lam) is optimal to within ``tol``.
+
+    Each component is scaled by the magnitudes of the terms it sums, so the
+    test does not depend on the units of the rows.
+    """
+    u, lam = sol.u, sol.lam
+    sx0 = qp.s @ x0
+    grad = qp.h @ u + sx0 + qp.g_mat.T @ lam
+    grad_scale = 1.0 + np.abs(qp.h) @ np.abs(u) + np.abs(sx0) + np.abs(qp.g_mat.T) @ lam
+    con_scale = 1.0 + np.abs(w_vec) + np.abs(qp.g_mat) @ np.abs(u)
+    residuals = {
+        "stationarity": (np.abs(grad) / grad_scale).max(),
+        "feasibility": (-slack / con_scale).max(initial=0.0),
+        "dual_sign": -lam.min(initial=0.0),
+        "complementarity": (lam / (1.0 + lam) * np.abs(slack) / con_scale).max(initial=0.0),
+    }
+    failed = {k: float(r) for k, r in residuals.items() if r > tol}
+    if failed:
+        raise KktCheckError(f"QP solution failed its KKT check: {failed}")
 
 
 def solve_active_set_enumeration(
@@ -94,7 +172,7 @@ def solve_active_set_enumeration(
     if best is None:
         raise InfeasibleProblem("no feasible active set found; problem is infeasible")
 
-    lam_min = _minimal_norm_dual(qp, x0, best, chol, tol)
+    lam_min = _minimal_norm_dual(qp, x0, best, tol)
     if lam_min is not None:
         best = QpSolution(
             u=best.u,
@@ -105,7 +183,7 @@ def solve_active_set_enumeration(
     return best
 
 
-def _minimal_norm_dual(qp, x0, sol: QpSolution, chol, tol: float) -> np.ndarray | None:
+def _minimal_norm_dual(qp, x0, sol: QpSolution, tol: float) -> np.ndarray | None:
     """Least-norm nonnegative dual supported on the constraints active at u*.
 
     Solves min ||lam|| s.t. G_I' lam_I = -(H u* + S x0), lam >= 0 by support

@@ -20,9 +20,9 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_1_oracle_equivalence():
+def _criterion_1(horizon, **budgets):
     config = nm.ExperimentConfig.cart_pole_default(
-        variants=("oracle", "single_layer", "multilayer_exact")
+        horizon=horizon, variants=("oracle", "single_layer", "multilayer_exact"), **budgets
     )
     tic = time.perf_counter()
     result = nm.run_experiment(config)
@@ -45,10 +45,22 @@ def test_criterion_1_oracle_equivalence():
     )
     ok = du <= 1e-3 and dx <= 1e-3 and runtime <= 60.0
     _report(
-        "criterion 1 (oracle equivalence)",
+        f"criterion 1 (oracle equivalence, N = {horizon})",
         ok,
         f"max|du|={du:.2e} (<=1e-3), max|dx|={dx:.2e} (<=1e-3), runtime={runtime:.1f}s (<=60s)",
     )
+
+
+def test_criterion_1_oracle_equivalence():
+    _criterion_1(2)
+
+
+@pytest.mark.parametrize("horizon", [10, 20])
+def test_criterion_1_oracle_equivalence_long_horizon(horizon):
+    # The cart-pole has m = 6N constraint rows.  Identity-layer budgets:
+    # omega = [I; -u_dual_map gamma^-1] has 2m nonzeros, psi = gamma has m^2.
+    m = 6 * horizon
+    _criterion_1(horizon, s_omega=2 * m, s_psi=m * m)
 
 
 def test_criterion_2_lqr_recovery(cart_pole_setup):

@@ -72,6 +72,30 @@ class TestPalmFactorize:
         assert nm.factorization_residual(theta, omega0, psi0) <= 1e-10
         assert np.array_equal(omega0[:12], np.eye(12))
 
+    def test_stops_at_rounding_noise(self):
+        # At N = 40 the identity-layer start is exact up to rounding; the
+        # relative-change rule alone can cycle between noise values for
+        # the whole sweep cap.
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=40))
+        theta = nm.stack_target(data.gamma, data.u_dual_map)
+        m = data.gamma.shape[0]
+        omega0, psi0 = nm.identity_layer_init(data.gamma, data.u_dual_map)
+        prob = nm.FactorizationProblem(theta=theta, s_omega=2 * m, s_psi=m * m)
+        _, _, hist = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        assert len(hist) <= 2
+        assert hist[-1] <= 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
+
+    def test_noise_floor_leaves_sparse_budget_run_alone(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        theta = nm.stack_target(data.gamma, data.u_dual_map)
+        omega0, psi0 = nm.identity_layer_init(data.gamma, data.u_dual_map)
+        prob = nm.FactorizationProblem(theta=theta, s_omega=40, s_psi=40)
+        _, _, hist = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        # every residual stays above the floor, so only the change rule stops
+        assert np.min(hist) > 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
+        assert len(hist) > 1000
+        assert hist[-1] == pytest.approx(7.952195e-3, rel=1e-6)
+
     def test_collapsed_factor_floor(self):
         # an all-zero starting factor must not divide by zero
         theta = np.eye(3)

@@ -12,23 +12,41 @@ from conftest import duplicated_row_qp, one_dim_qp
 SAMPLE_BOX = np.array([0.3, 0.5, 0.05, 0.2])
 
 
-class TestActiveSetEnumeration:
+def _horizon_qp(horizon):
+    _, qp, _ = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
+    return qp
+
+
+def _assert_kkt(qp, x0, sol):
+    slack = qp.g_vec + qp.t_mat @ x0 - qp.g_mat @ sol.u
+    assert np.min(slack) >= -1e-9
+    assert np.min(sol.lam) >= 0.0
+    assert np.max(np.abs(sol.lam * slack)) <= 1e-9
+    grad = qp.h @ sol.u + qp.s @ x0 + qp.g_mat.T @ sol.lam
+    assert np.max(np.abs(grad)) < 1e-8
+
+
+class _SolverCases:
+    """Cases every exact solver must pass; subclasses set ``solve``."""
+
+    solve = None
+
     def test_interior_point_unconstrained(self, cart_pole_setup):
         _, _, qp, _ = cart_pole_setup
         x0 = np.array([0.01, 0.0, 0.001, 0.0])
-        sol = nm.solve_active_set_enumeration(qp, x0)
+        sol = self.solve(qp, x0)
         assert sol.active == ()
         assert np.all(sol.lam == 0.0)
         assert np.allclose(sol.u, -np.linalg.solve(qp.h, qp.s @ x0), atol=1e-10)
 
     def test_one_dim_hand_kkt(self):
-        sol = nm.solve_active_set_enumeration(one_dim_qp(), np.zeros(1))
+        sol = self.solve(one_dim_qp(), np.zeros(1))
         assert abs(sol.u[0] + 1.0) < 1e-12
         assert abs(sol.lam[0] - 1.0) < 1e-12
 
     def test_saturated_control_is_exact_bound(self, cart_pole_setup):
         _, _, qp, _ = cart_pole_setup
-        sol = nm.solve_active_set_enumeration(qp, np.array([0.0, 0.0, 0.3, 0.0]))
+        sol = self.solve(qp, np.array([0.0, 0.0, 0.3, 0.0]))
         assert min(abs(sol.u[0] + 10.0), abs(sol.u[0] - 12.0)) < 1e-9
 
     def test_kkt_residuals_on_random_samples(self, cart_pole_setup):
@@ -36,16 +54,10 @@ class TestActiveSetEnumeration:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x0 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)
-            sol = nm.solve_active_set_enumeration(qp, x0)
-            slack = qp.g_vec + qp.t_mat @ x0 - qp.g_mat @ sol.u
-            assert np.min(slack) >= -1e-9
-            assert np.min(sol.lam) >= 0.0
-            assert np.max(np.abs(sol.lam * slack)) <= 1e-9
-            grad = qp.h @ sol.u + qp.s @ x0 + qp.g_mat.T @ sol.lam
-            assert np.max(np.abs(grad)) < 1e-8
+            _assert_kkt(qp, x0, self.solve(qp, x0))
 
     def test_minimal_norm_dual_on_duplicated_rows(self):
-        sol = nm.solve_active_set_enumeration(duplicated_row_qp(), np.zeros(1))
+        sol = self.solve(duplicated_row_qp(), np.zeros(1))
         assert abs(sol.u[0] + 1.0) < 1e-12
         assert np.max(np.abs(sol.lam - 0.5)) < 1e-12
 
@@ -61,7 +73,11 @@ class TestActiveSetEnumeration:
             upsilon_rows=1,
         )
         with pytest.raises(nm.InfeasibleProblem):
-            nm.solve_active_set_enumeration(qp, np.zeros(1))
+            self.solve(qp, np.zeros(1))
+
+
+class TestActiveSetEnumeration(_SolverCases):
+    solve = staticmethod(nm.solve_active_set_enumeration)
 
     def test_enumeration_guard(self):
         m = 25
@@ -76,6 +92,45 @@ class TestActiveSetEnumeration:
         )
         with pytest.raises(ValueError, match="guard"):
             nm.solve_active_set_enumeration(qp, np.zeros(1))
+
+
+class TestSolveQp(_SolverCases):
+    solve = staticmethod(nm.solve_qp)
+
+    @pytest.mark.parametrize("horizon, count", [(2, 200), (3, 20)])
+    def test_matches_enumeration(self, horizon, count):
+        qp = _horizon_qp(horizon)
+        rng = np.random.default_rng(horizon)
+        for _ in range(count):
+            x0 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)
+            sol = nm.solve_qp(qp, x0)
+            ref = nm.solve_active_set_enumeration(qp, x0)
+            assert np.max(np.abs(sol.u - ref.u)) <= 1e-9
+            assert abs(
+                nm.dual_objective(qp, x0, sol.lam) - nm.dual_objective(qp, x0, ref.lam)
+            ) <= 1e-9
+
+    @pytest.mark.parametrize("horizon", [10, 20])
+    def test_kkt_residuals_beyond_enumeration_guard(self, horizon):
+        qp = _horizon_qp(horizon)
+        assert qp.m > 24
+        rng = np.random.default_rng(horizon)
+        states = [rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(50)]
+        saturated = 0
+        for x0 in states + [np.array([0.0, 0.0, 0.3, 0.0])]:
+            sol = nm.solve_qp(qp, x0)
+            _assert_kkt(qp, x0, sol)
+            saturated += bool(sol.active)
+        assert saturated > 0
+
+    def test_wrong_nnls_answer_fails_kkt_check(self, cart_pole_setup, monkeypatch):
+        # y = 0 is the unconstrained optimum, which breaks the input bound here
+        _, _, qp, _ = cart_pole_setup
+        monkeypatch.setattr(
+            nm.qp_oracle, "nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0)
+        )
+        with pytest.raises(nm.KktCheckError, match="feasibility"):
+            nm.solve_qp(qp, np.array([0.0, 0.0, 0.3, 0.0]))
 
 
 class TestProjectedGradient:
