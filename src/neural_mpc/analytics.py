@@ -43,8 +43,9 @@ def extract_graph(
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     n = w.shape[0]
     mask = (np.abs(w) > threshold) & ~np.eye(n, dtype=bool)
-    rows, cols = np.nonzero(mask)
-    edges = sorted((int(j), int(i), float(w[i, j])) for i, j in zip(rows, cols))
+    # nonzero on the transpose lists (from, to) pairs already sorted.
+    src, dst = np.nonzero(mask.T)
+    edges = list(zip(src.tolist(), dst.tolist(), w[dst, src].tolist()))
     return NetworkGraph(node_count=n, edges=edges, node_labels=list(labels or []))
 
 

@@ -14,6 +14,14 @@ units of the network time constant eta.
 The multilayer form evolves a hidden state with weights (omega1, omega2, psi)
 obtained from factorizing the stacked matrix [gamma; -u_dual_map]; its hidden
 state may be negative, so no orthant invariance is claimed for it.
+
+One forward-Euler kernel, ``_euler``, runs both forms: ``settle`` and
+``settle_multilayer`` loop it until quiescent, ``step_single_layer`` and
+``step_multilayer`` take one step, and all four form the input drive
+m_map @ x0 + bias once and require 0 < dt/eta <= 0.5.  A network has settled
+when ||rate||_inf <= tol; the squared norm s = rate . rate alone decides when
+s <= tol^2 (1 - 1e-9) or s > len(rate) tol^2 (1 + 1e-9), margins that cover
+the rounding of s, and the sup-norm is taken only in between.
 """
 
 from __future__ import annotations
@@ -28,6 +36,53 @@ from .condenser import NetworkData
 def relu(v: np.ndarray) -> np.ndarray:
     """Elementwise max with zero."""
     return np.maximum(v, 0.0)
+
+
+def _step_ratio(dt: float, eta: float) -> float:
+    """Euler step per time constant, dt/eta; it must lie in (0, 0.5]."""
+    step = dt / eta
+    if not 0.0 < step <= 0.5:
+        raise ValueError(f"step size must satisfy 0 < dt/eta <= 0.5, got dt/eta = {step}")
+    return step
+
+
+def _budget(eta: float, tol: float, max_time: float, dt: float | None):
+    """Validated (dt, dt/eta, step count) of a settle call; dt defaults to eta/20."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    dt = eta / 20.0 if dt is None else dt
+    return dt, _step_ratio(dt, eta), max(1, int(round(max_time / dt)))
+
+
+def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
+    """Forward Euler on  d(state)/d(t/eta) = -state + psi relu(w state - eps_k state - bias_in).
+
+    ``psi is None`` is the single layer (psi = I); ``eps`` maps the step index
+    to the regularizer.  Each step evaluates the rate (one relu call) and stops
+    before the update once ||rate||_inf <= tol.  Returns (state, settled, traj);
+    ``traj`` lists the initial state and every stepped one when ``record``.
+    """
+    if 1e-150 <= tol <= 1e150:
+        tol2 = tol * tol
+        lo, hi = tol2 * (1.0 - 1e-9), len(state) * tol2 * (1.0 + 1e-9)
+    else:  # tol^2 under- or overflows: the sup-norm test alone decides
+        lo, hi = -1.0, np.inf
+    traj = [state] if record else None
+    for k in range(n_steps):
+        drive = w.dot(state)
+        if eps is not None:
+            drive = drive - eps(k) * state
+        rate = relu(drive - bias_in)
+        if psi is not None:
+            rate = psi.dot(rate)
+        rate = rate - state
+        s = rate.dot(rate)
+        if s <= lo or (s <= hi and abs(rate).max() <= tol):
+            return state, True, traj
+        state = state + step * rate
+        if record:
+            traj.append(state)
+    return state, False, traj
 
 
 @dataclass
@@ -69,6 +124,10 @@ class FiringRateNetwork:
         return self.eps0 / (1.0 + t / self.eta)
 
 
+def _bias_in(data: NetworkData, x0) -> np.ndarray:
+    return data.m_map @ np.asarray(x0, dtype=float) + data.bias
+
+
 def step_single_layer(
     net: FiringRateNetwork, x0: np.ndarray, dt: float, t: float = 0.0
 ) -> np.ndarray:
@@ -78,11 +137,11 @@ def step_single_layer(
     and dt <= eta the update is a convex combination of lam and a nonnegative
     term, so the nonnegative orthant is forward invariant.
     """
-    if dt <= 0 or dt / net.eta > 0.5:
-        raise ValueError(f"step size must satisfy 0 < dt/eta <= 0.5, got {dt / net.eta}")
-    d = net.data
-    drive = d.gamma @ net.lam - net.epsilon(t) * net.lam - d.m_map @ x0 - d.bias
-    net.lam = net.lam + (dt / net.eta) * (-net.lam + relu(drive))
+    step = _step_ratio(dt, net.eta)
+    eps = (lambda k: net.epsilon(t)) if net.eps0 else None
+    bias_in = _bias_in(net.data, x0)
+    # tol = 0 skips the update only when the rate is exactly zero, a no-op.
+    net.lam, _, _ = _euler(net.data.gamma, None, net.lam, bias_in, step, 1, 0.0, eps)
     return net.lam
 
 
@@ -105,36 +164,14 @@ def settle(
     (lam, settled) or (lam, settled, times, traj) when ``record`` is True;
     ``times`` are in seconds and ``traj`` has one row of lam per step.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dt = net.eta / 20.0 if dt is None else dt
-    if dt / net.eta > 0.5:
-        raise ValueError("dt must satisfy dt/eta <= 0.5")
-    d = net.data
-    x0 = np.asarray(x0, dtype=float)
-    bias_in = d.m_map @ x0 + d.bias
-    gamma = d.gamma
-    lam = net.lam
-    step = dt / net.eta
-    n_steps = max(1, int(round(max_time / dt)))
-    settled = False
-    times = [0.0] if record else None
-    traj = [lam.copy()] if record else None
-    t = 0.0
-    for k in range(n_steps):
-        eps = net.epsilon(t)
-        rate = -lam + relu(gamma @ lam - eps * lam - bias_in)
-        if np.max(np.abs(rate)) <= tol:
-            settled = True
-            break
-        lam = lam + step * rate
-        t = (k + 1) * dt
-        if record:
-            times.append(t)
-            traj.append(lam.copy())
+    dt, step, n_steps = _budget(net.eta, tol, max_time, dt)
+    eps = (lambda k: net.epsilon(k * dt)) if net.eps0 else None
+    lam, settled, traj = _euler(
+        net.data.gamma, None, net.lam, _bias_in(net.data, x0), step, n_steps, tol, eps, record
+    )
     net.lam = lam
     if record:
-        return lam, settled, np.array(times), np.array(traj)
+        return lam, settled, np.arange(len(traj)) * dt, np.array(traj)
     return lam, settled
 
 
@@ -178,10 +215,9 @@ def step_multilayer(
     net: MultilayerNetwork, aux: NetworkData, x0: np.ndarray, dt: float
 ) -> np.ndarray:
     """One forward-Euler step of the multilayer dynamics; returns updated state."""
-    if dt <= 0 or dt / net.eta > 0.5:
-        raise ValueError(f"step size must satisfy 0 < dt/eta <= 0.5, got {dt / net.eta}")
-    drive = net.omega1 @ net.tilde_lam - aux.m_map @ x0 - aux.bias
-    net.tilde_lam = net.tilde_lam + (dt / net.eta) * (-net.tilde_lam + net.psi @ relu(drive))
+    step = _step_ratio(dt, net.eta)
+    bias_in = _bias_in(aux, x0)
+    net.tilde_lam, _, _ = _euler(net.omega1, net.psi, net.tilde_lam, bias_in, step, 1, 0.0)
     return net.tilde_lam
 
 
@@ -194,23 +230,9 @@ def settle_multilayer(
     dt: float | None = None,
 ):
     """Integrate the multilayer dynamics until quiescent; returns (state, settled)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dt = net.eta / 20.0 if dt is None else dt
-    if dt / net.eta > 0.5:
-        raise ValueError("dt must satisfy dt/eta <= 0.5")
-    x0 = np.asarray(x0, dtype=float)
-    bias_in = aux.m_map @ x0 + aux.bias
-    state = net.tilde_lam
-    step = dt / net.eta
-    n_steps = max(1, int(round(max_time / dt)))
-    settled = False
-    for _ in range(n_steps):
-        rate = -state + net.psi @ relu(net.omega1 @ state - bias_in)
-        if np.max(np.abs(rate)) <= tol:
-            settled = True
-            break
-        state = state + step * rate
+    _, step, n_steps = _budget(net.eta, tol, max_time, dt)
+    bias_in = _bias_in(aux, x0)
+    state, settled, _ = _euler(net.omega1, net.psi, net.tilde_lam, bias_in, step, n_steps, tol)
     net.tilde_lam = state
     return state, settled
 

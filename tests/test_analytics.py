@@ -42,6 +42,29 @@ class TestExtractGraph:
         w = np.array([[0.0, -3.0], [0.0, 0.0]])
         assert nm.extract_graph(w).edges == [(1, 0, -3.0)]
 
+    def test_matches_former_implementation(self):
+        def former(w, threshold, labels):
+            n = w.shape[0]
+            mask = (np.abs(w) > threshold) & ~np.eye(n, dtype=bool)
+            rows, cols = np.nonzero(mask)
+            edges = sorted((int(j), int(i), float(w[i, j])) for i, j in zip(rows, cols))
+            return nm.NetworkGraph(node_count=n, edges=edges, node_labels=list(labels or []))
+
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 30):
+            for threshold in (0.0, 0.25, 1.0):
+                w = rng.normal(size=(n, n))
+                w[rng.random((n, n)) < 0.3] = 0.0
+                # entries exactly at the threshold (excluded: the test is strict)
+                at = rng.random((n, n)) < 0.2
+                w[at] = threshold * rng.choice([-1.0, 1.0], size=int(at.sum()))
+                np.fill_diagonal(w, 5.0)
+                labels = [f"u{i}" for i in range(n)] if n % 2 else None
+                got = nm.extract_graph(w, threshold=threshold, labels=labels)
+                want = former(w, threshold, labels)
+                assert got == want
+                assert all(type(v) is t for e in got.edges for v, t in zip(e, (int, int, float)))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             nm.extract_graph(np.zeros((2, 3)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import neural_mpc as nm
+from neural_mpc import harness
 
 from conftest import duplicated_row_qp, one_dim_qp
 
@@ -48,6 +49,46 @@ class TestStepSingleLayer:
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         with pytest.raises(ValueError):
             nm.step_single_layer(net, np.zeros(4), dt=1e-3)
+
+
+class TestStepGuard:
+    """Every entry point requires 0 < dt/eta <= 0.5."""
+
+    @pytest.mark.parametrize("dt", [0.0, -5e-5, -1e-3, 6e-4, float("nan")])
+    def test_settle_rejects(self, cart_pole_setup, dt):
+        _, _, _, data = cart_pole_setup
+        net = nm.FiringRateNetwork(data=data, eta=1e-3)
+        with pytest.raises(ValueError, match="dt/eta"):
+            nm.settle(net, np.zeros(4), dt=dt)
+        assert np.all(net.lam == 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -5e-5, -1e-3, 6e-4, float("nan")])
+    def test_settle_multilayer_rejects(self, cart_pole_setup, dt):
+        _, _, _, data = cart_pole_setup
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
+        )
+        with pytest.raises(ValueError, match="dt/eta"):
+            nm.settle_multilayer(multi, data, np.zeros(4), dt=dt)
+        assert np.all(multi.tilde_lam == 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -5e-5])
+    def test_steps_reject(self, cart_pole_setup, dt):
+        _, _, _, data = cart_pole_setup
+        net = nm.FiringRateNetwork(data=data, eta=1e-3)
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
+        )
+        with pytest.raises(ValueError, match="dt/eta"):
+            nm.step_single_layer(net, np.zeros(4), dt=dt)
+        with pytest.raises(ValueError, match="dt/eta"):
+            nm.step_multilayer(multi, data, np.zeros(4), dt=dt)
+
+    def test_half_time_constant_accepted(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        net = nm.FiringRateNetwork(data=data, eta=1e-3)
+        nm.settle(net, np.zeros(4), dt=5e-4)
+        nm.step_single_layer(net, np.zeros(4), dt=5e-4)
 
 
 class TestSettle:
@@ -214,3 +255,76 @@ class TestInvariants:
         _, _, _, traj = nm.settle(net, x0, tol=1e-12, max_time=0.02, record=True)
         objs = np.array([nm.dual_objective(qp, x0, lam) for lam in traj])
         assert np.max(np.diff(objs)) <= 1e-8
+
+
+class TestBenchmarkHooks:
+    """The benchmark patches module-level names: it counts Euler steps through
+    ``network.relu`` and times actions from ``harness.settle*`` to
+    ``harness.extract_control*``."""
+
+    @staticmethod
+    def count_relu(monkeypatch):
+        calls = [0]
+        relu = nm.network.relu
+
+        def counted(v):
+            calls[0] += 1
+            return relu(v)
+
+        monkeypatch.setattr(nm.network, "relu", counted)
+        return calls
+
+    def test_relu_once_per_rate_evaluation(self, cart_pole_setup, monkeypatch):
+        _, _, _, data = cart_pole_setup
+        calls = self.count_relu(monkeypatch)
+        x0 = np.array([0.3, 0.0, 0.15, 0.0])
+        net = nm.FiringRateNetwork(data=data, eta=1e-3)
+        _, settled, _, traj = nm.settle(net, x0, tol=1e-8, max_time=0.2, record=True)
+        # steps taken, plus the evaluation that found the rate below tol
+        assert settled and calls[0] == (len(traj) - 1) + 1
+        calls[0] = 0
+        _, settled, _, traj = nm.settle(net, x0, tol=1e-300, max_time=0.005, record=True)
+        assert not settled and calls[0] == len(traj) - 1 == 100
+
+    def test_relu_once_per_multilayer_rate_evaluation(self, cart_pole_setup, monkeypatch):
+        _, _, _, data = cart_pole_setup
+        calls = self.count_relu(monkeypatch)
+        x0 = np.array([0.3, 0.0, 0.15, 0.0])
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
+        )
+        single = nm.FiringRateNetwork(data=data, eta=1e-3)
+        _, settled, _, traj = nm.settle(single, x0, tol=1e-8, max_time=0.2, record=True)
+        calls[0] = 0
+        assert nm.settle_multilayer(multi, data, x0, tol=1e-8, max_time=0.2)[1]
+        assert calls[0] == len(traj)
+        calls[0] = 0
+        assert not nm.settle_multilayer(multi, data, x0 + 0.1, tol=1e-300, max_time=0.005)[1]
+        assert calls[0] == 100
+        calls[0] = 0
+        nm.step_single_layer(single, x0, 5e-5)
+        nm.step_multilayer(multi, data, x0, 5e-5)
+        assert calls[0] == 2
+
+    def test_settle_then_readout_once_per_action(self, monkeypatch):
+        log = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                log.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        hooks = ("settle", "settle_multilayer", "extract_control", "extract_control_multilayer")
+        for name in hooks:
+            monkeypatch.setattr(harness, name, logged(name, getattr(harness, name)))
+        variants = ("oracle", "single_layer", "single_layer_eps", "multilayer_exact", "slack")
+        config = nm.ExperimentConfig.cart_pole_default(duration=0.2, variants=variants)
+        result = nm.run_experiment(config)
+        n_samples = len(result.traces["oracle"].t)
+        assert n_samples == 10
+        actions = [("settle", "extract_control")] * n_samples * 2
+        actions += [("settle_multilayer", "extract_control_multilayer")] * n_samples
+        actions += [("settle", "extract_control")] * n_samples
+        assert log == [name for pair in actions for name in pair]
