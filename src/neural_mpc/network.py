@@ -19,9 +19,8 @@ One forward-Euler kernel, ``_euler``, runs both forms: ``settle`` and
 ``settle_multilayer`` loop it until quiescent, ``step_single_layer`` and
 ``step_multilayer`` take one step, and all four form the input drive
 m_map @ x0 + bias once and require 0 < dt/eta <= 0.5.  A network has settled
-when ||rate||_inf <= tol; the squared norm s = rate . rate alone decides when
-s <= tol^2 (1 - 1e-9) or s > len(rate) tol^2 (1 + 1e-9), margins that cover
-the rounding of s, and the sup-norm is taken only in between.
+when ||rate||_inf <= tol; the squared norm rate . rate decides that alone
+unless it lies between tol^2 and len(rate) tol^2.
 """
 
 from __future__ import annotations
@@ -62,11 +61,14 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
     before the update once ||rate||_inf <= tol.  Returns (state, settled, traj);
     ``traj`` lists the initial state and every stepped one when ``record``.
     """
-    if 1e-150 <= tol <= 1e150:
-        tol2 = tol * tol
-        lo, hi = tol2 * (1.0 - 1e-9), len(state) * tol2 * (1.0 + 1e-9)
-    else:  # tol^2 under- or overflows: the sup-norm test alone decides
-        lo, hi = -1.0, np.inf
+    # The squared norm s = rate . rate settles a rate when s <= tol^2 and rules
+    # settling out when s > n tol^2; only in between is the sup-norm taken.
+    # The margins cover the rounding of s.  Outside 1e-300 < tol^2 < 1e300 only
+    # the upper test runs; it stays exact there, since tol^2 rounds monotonically
+    # and an infinite bound defers to the sup-norm.
+    tol2 = tol * tol
+    min_sq = tol2 * (1.0 - 1e-9) if 1e-300 < tol2 < 1e300 else -1.0
+    max_sq = len(state) * tol2 * (1.0 + 1e-9)
     traj = [state] if record else None
     for k in range(n_steps):
         drive = w.dot(state)
@@ -77,7 +79,7 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
             rate = psi.dot(rate)
         rate = rate - state
         s = rate.dot(rate)
-        if s <= lo or (s <= hi and abs(rate).max() <= tol):
+        if s <= min_sq or (s <= max_sq and abs(rate).max() <= tol):
             return state, True, traj
         state = state + step * rate
         if record:
