@@ -10,6 +10,7 @@ network whose input/output behavior matches the single-layer network exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,12 @@ def factorization_residual(theta: np.ndarray, omega: np.ndarray, psi: np.ndarray
     return float(np.linalg.norm(theta - omega @ psi, "fro"))
 
 
+def _frobenius(mat: np.ndarray) -> float:
+    """||mat||_F as np.linalg.norm(mat, "fro") computes it, without its wrapper."""
+    flat = mat.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def palm_factorize(
     prob: FactorizationProblem,
     omega0: np.ndarray | None = None,
@@ -127,19 +134,20 @@ def palm_factorize(
     floor = 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
     history = []
     prev = None
+    r = omega @ psi - theta  # carried from each stop test into the next omega gradient
     for _ in range(prob.k_bar):
-        denom = max(np.linalg.norm(psi @ psi.T, "fro"), 1e-12)
+        denom = max(_frobenius(psi @ psi.T), 1e-12)
         omega = hard_threshold(
-            omega - (1.0 / (prob.beta1 * denom)) * (omega @ psi - theta) @ psi.T,
-            prob.s_omega,
+            omega - (1.0 / (prob.beta1 * denom)) * r @ psi.T, prob.s_omega
         )
-        denom = max(np.linalg.norm(omega.T @ omega, "fro"), 1e-12)
+        denom = max(_frobenius(omega.T @ omega), 1e-12)
         psi = hard_threshold(
             psi - (1.0 / (prob.beta2 * denom)) * omega.T @ (omega @ psi - theta),
             prob.s_psi,
         )
-        res = float(np.linalg.norm(theta - omega @ psi, "fro"))
-        if not np.isfinite(res):
+        r = omega @ psi - theta
+        res = _frobenius(r)
+        if not math.isfinite(res):
             raise FloatingPointError("PALM iterates diverged (non-finite residual)")
         history.append(res)
         if res <= floor:

@@ -12,6 +12,7 @@ undamped vector norm (||diag(d) v|| <= ||v|| for d in [0,1], equality at 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,12 @@ def forcing_term(
     dx = np.asarray(x0_1, dtype=float) - np.asarray(x0_2, dtype=float)
     base = m_map @ dx
     diffs = base[None, :] - lambda1_traj @ delta.T
-    return float(np.max(np.linalg.norm(diffs, axis=1)))
+    # Each row's squared norm as a (1 x n)(n x 1) product, which numpy takes
+    # with the dot kernel that np.linalg.norm applies to a vector, so delta = 0
+    # reproduces ||m_map (x0_1 - x0_2)|| exactly.  sqrt is monotone and
+    # correctly rounded, so it commutes with the max; a NaN row stays NaN.
+    squares = np.matmul(diffs[:, None, :], diffs[:, :, None])
+    return math.sqrt(squares.max())
 
 
 def control_deviation_bound(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_discrete_are
 
 
 @dataclass
@@ -123,18 +123,12 @@ def discretize_zoh(model: PlantModel, ts: float) -> DiscretePlant:
     return DiscretePlant(a=big[:n, :n], b=big[:n, n:], ts=ts)
 
 
-def solve_dare(
-    a: np.ndarray,
-    b: np.ndarray,
-    q: np.ndarray,
-    r: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> np.ndarray:
-    """Solve the discrete algebraic Riccati equation by fixed-point iteration.
+def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Stabilizing solution of the discrete algebraic Riccati equation.
 
-    Iterates P <- q + a'Pa - a'Pb (r + b'Pb)^-1 b'Pa from P = q until the
-    relative change drops below ``tol``.
+    Solves P = q + a'Pa - a'Pb (r + b'Pb)^-1 b'Pa with scipy's generalized
+    Schur method (``scipy.linalg.solve_discrete_are``) and returns the
+    symmetrized 0.5 (P + P').
 
     Parameters
     ----------
@@ -148,7 +142,19 @@ def solve_dare(
     Returns
     -------
     ndarray
-        Symmetric PSD solution P.
+        Symmetric PSD stabilizing solution P.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When no stabilizing solution exists ((a, b) is not stabilizable, or q
+        does not observe a mode of a on the unit circle), when scipy rejects
+        the inputs, or when P is not finite, its ``dare_residual`` exceeds
+        1e-9 max(1, ||P||_F), or the closed loop a - b K (K = ``lqr_gain``)
+        has an eigenvalue of modulus at least 1 - sqrt(eps).  Only the
+        stabilizing solution is returned: where it does not exist this
+        raises, even if a non-stabilizing PSD solution does (q = 0 on the
+        cart-pole has P = 0).
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -156,21 +162,26 @@ def solve_dare(
         b = b.reshape(a.shape[0], -1)
     q = np.atleast_2d(np.asarray(q, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    p = q.copy()
-    for _ in range(max_iter):
-        bpb = r + b.T @ p @ b
-        bpa = b.T @ p @ a
-        p_next = q + a.T @ p @ a - bpa.T @ np.linalg.solve(bpb, bpa)
-        p_next = 0.5 * (p_next + p_next.T)
-        change = np.linalg.norm(p_next - p, "fro")
-        p = p_next
-        # Absolute floor keeps the fixed-point residual below 1e-9 even when
-        # ||P|| is large enough that the relative stop alone would allow more.
-        if change <= min(1e-10, tol * max(1.0, np.linalg.norm(p, "fro"))):
-            return p
-    raise np.linalg.LinAlgError(
-        f"DARE iteration did not converge within {max_iter} iterations"
-    )
+    try:
+        p = solve_discrete_are(a, b, q, r)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise np.linalg.LinAlgError(f"cannot solve the DARE: {exc}") from exc
+    p = 0.5 * (p + p.T)
+    if not np.isfinite(p).all():
+        raise np.linalg.LinAlgError("DARE solution is not finite")
+    residual = dare_residual(a, b, q, r, p)
+    if not residual <= 1e-9 * max(1.0, float(np.linalg.norm(p, "fro"))):
+        raise np.linalg.LinAlgError(f"DARE solution residual {residual:.3g} is too large")
+    # scipy can count eigenvalues of the pencil that lie on the unit circle
+    # as stable and return a non-stabilizing P (the cart-pole with q = 0 and
+    # r = 1).  A double eigenvalue there is computed only to about sqrt(eps),
+    # so one that close to the circle counts as on it.
+    radius = float(np.max(np.abs(np.linalg.eigvals(a - b @ lqr_gain(a, b, q, r, p)))))
+    if not radius < 1.0 - np.sqrt(np.finfo(float).eps):
+        raise np.linalg.LinAlgError(
+            f"DARE solution is not stabilizing (closed-loop spectral radius {radius!r})"
+        )
+    return p
 
 
 def dare_residual(a, b, q, r, p) -> float:

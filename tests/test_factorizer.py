@@ -112,6 +112,66 @@ class TestPalmFactorize:
             nm.FactorizationProblem(theta=np.full((2, 2), np.nan), s_omega=1, s_psi=1)
 
 
+def palm_sweeps_reference(prob, omega, psi):
+    """The PALM sweep loop as first written, kept as the bitwise oracle."""
+    theta = prob.theta
+    floor = 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
+    history = []
+    prev = None
+    for _ in range(prob.k_bar):
+        denom = max(np.linalg.norm(psi @ psi.T, "fro"), 1e-12)
+        omega = nm.hard_threshold(
+            omega - (1.0 / (prob.beta1 * denom)) * (omega @ psi - theta) @ psi.T,
+            prob.s_omega,
+        )
+        denom = max(np.linalg.norm(omega.T @ omega, "fro"), 1e-12)
+        psi = nm.hard_threshold(
+            psi - (1.0 / (prob.beta2 * denom)) * omega.T @ (omega @ psi - theta),
+            prob.s_psi,
+        )
+        res = float(np.linalg.norm(theta - omega @ psi, "fro"))
+        if not np.isfinite(res):
+            raise FloatingPointError("PALM iterates diverged (non-finite residual)")
+        history.append(res)
+        if res <= floor:
+            break
+        if prev is not None and abs(res - prev) <= 1e-10 * max(prev, 1e-12):
+            break
+        prev = res
+    return omega, psi, np.array(history)
+
+
+class TestPalmBitwiseOracle:
+    @pytest.mark.parametrize(
+        "horizon, budget, k_bar, start",
+        [
+            (2, 40, 100_000, "identity_layer"),
+            (2, 144, 100_000, "identity_layer"),
+            (4, 30, 100_000, "identity_layer"),
+            (2, 40, 5, "identity_layer"),
+            (2, 40, 5, "default"),
+            (2, 40, 50, "zeros"),
+        ],
+    )
+    def test_matches_reference_loop(self, horizon, budget, k_bar, start):
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
+        theta = nm.stack_target(data.gamma, data.u_dual_map)
+        prob = nm.FactorizationProblem(theta=theta, s_omega=budget, s_psi=budget, k_bar=k_bar)
+        m = data.gamma.shape[0]
+        if start == "identity_layer":
+            omega0, psi0 = nm.identity_layer_init(data.gamma, data.u_dual_map)
+        elif start == "default":
+            omega0, psi0 = theta, np.eye(m)
+        else:
+            omega0, psi0 = np.zeros_like(theta), np.zeros((m, m))
+        got = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        want = palm_sweeps_reference(prob, omega0.copy(), psi0.copy())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if k_bar == 5:
+            assert len(got[2]) == k_bar
+
+
 class TestSplitFactors:
     def test_benchmark_shapes(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup

@@ -158,6 +158,14 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_condense_without_stabilizing_dare_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "q0.json"
+        cfg.write_text(json.dumps({"q": [0, 0, 0, 0]}))
+        assert cli_main(["condense", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_reproduce_writes_full_suite(self, tmp_path, capsys):
         out = tmp_path / "report"
         assert cli_main(["reproduce-paper", "--out", str(out)]) == 0

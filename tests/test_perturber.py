@@ -131,6 +131,19 @@ class TestControlDeviationBound:
         ) / (1 - pert.mu) * np.linalg.norm(data.m_map @ (x1 - x2))
         assert abs(bound - expect) < 1e-12
 
+    def test_forcing_term_is_max_row_norm(self, pruned):
+        data, _, _ = pruned
+        rng = np.random.default_rng(11)
+        # A row's two reductions differ in the last bit about one time in five,
+        # so forty draws tell sqrt(d.dot(d)) from add.reduce.
+        for rows in rng.integers(1, 300, size=40):
+            delta = rng.normal(size=(12, 12))
+            traj = rng.normal(size=(rows, 12))
+            x1, x2 = rng.normal(size=4), rng.normal(size=4)
+            diffs = data.m_map @ (x1 - x2) - traj @ delta.T
+            expect = max(np.linalg.norm(row) for row in diffs)
+            assert nm.forcing_term(data.m_map, delta, x1, x2, traj) == expect
+
     def test_bound_dominates_measured_deviation(self, pruned):
         data, pert, pdata = pruned
         x0 = np.array([0.0, 0.0, 0.3, 0.0])  # saturates the input bound

@@ -105,8 +105,23 @@ class TestSolveDare:
     def test_nonconvergence_raises(self):
         # Uncontrollable unstable mode: value iteration diverges.
         with pytest.raises(np.linalg.LinAlgError):
+            nm.solve_dare(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+
+    def test_unobserved_unit_circle_modes_raise(self):
+        # q = 0 leaves the cart-pole's two unit-circle modes unobserved:
+        # P = 0 solves the DARE but does not stabilize.  At r = 0.1 scipy
+        # raises; at r = 1 it returns a P whose closed loop keeps them.
+        dp = nm.discretize_zoh(nm.cart_pole_model(), 0.02)
+        for r in (0.1, 1.0):
+            with pytest.raises(np.linalg.LinAlgError):
+                nm.solve_dare(dp.a, dp.b, np.zeros((4, 4)), np.array([[r]]))
+
+    def test_unweighted_unstable_mode_raises(self):
+        # The unstable mode is uncontrollable and unweighted: a finite PSD P
+        # solves the DARE but does not stabilize.
+        with pytest.raises(np.linalg.LinAlgError):
             nm.solve_dare(
-                np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1), max_iter=500
+                np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]), np.diag([0.0, 1.0]), np.eye(1)
             )
 
 
