@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .plant import DiscretePlant
 
@@ -268,23 +267,25 @@ def condense(problem: MpcProblem) -> CondensedQp:
 def build_network(qp: CondensedQp) -> NetworkData:
     """Build firing-rate network weights from a condensed QP.
 
-    gamma = I - G H^-1 G' and m_map = G H^-1 S + T; H is inverted only through
-    Cholesky solves.  gamma is symmetric with all eigenvalues <= 1 because
-    G H^-1 G' is positive semidefinite.
+    gamma = I - G H^-1 G' and m_map = G H^-1 S + T; H is never inverted, only
+    factored as H = L L'.  With [W_G W_S] = L^-1 [G' S], gamma = I - W_G' W_G,
+    which is exactly symmetric, with all eigenvalues <= 1 because W_G' W_G is
+    positive semidefinite, and m_map = W_G' W_S + T.
     """
     try:
-        chol = cho_factor(qp.h)
+        low = np.linalg.cholesky(qp.h)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"H factorization failed: {exc}") from exc
-    hinv_gt = cho_solve(chol, qp.g_mat.T)
-    hinv_s = cho_solve(chol, qp.s)
+    w = np.linalg.solve(low, np.hstack([qp.g_mat.T, qp.s]))
+    w_g, w_s = w[:, : qp.m], w[:, qp.m :]
     p = qp.upsilon_rows
+    readout = np.linalg.solve(low.T, w)[:p]  # rows of H^-1 [G' S]
     return NetworkData(
-        gamma=np.eye(qp.m) - qp.g_mat @ hinv_gt,
-        m_map=qp.g_mat @ hinv_s + qp.t_mat,
+        gamma=np.eye(qp.m) - w_g.T @ w_g,
+        m_map=w_g.T @ w_s + qp.t_mat,
         bias=qp.g_vec.copy(),
-        u_feedback=hinv_s[:p, :],
-        u_dual_map=hinv_gt[:p, :],
+        u_feedback=readout[:, qp.m :],
+        u_dual_map=readout[:, : qp.m],
         node_labels=list(qp.row_labels),
     )
 

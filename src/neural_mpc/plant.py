@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_discrete_are
 
 
 @dataclass
@@ -106,29 +106,109 @@ def cart_pole_model(params: CartPoleParams | None = None) -> PlantModel:
     return PlantModel(a_c, b_c, cart_pole_params=params)
 
 
+# Numerator coefficients of the [13/13] Pade approximant of exp, and the
+# largest 1-norm at which it is accurate to unit roundoff (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(mat: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring the [13/13] Pade approximant.
+
+    Scales by 2^-s so the 1-norm is at most theta_13, evaluates the
+    approximant (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U with six products and
+    one ``np.linalg.solve``, then squares s times (Higham 2005).  The second
+    form makes exp(0) exactly I.  Raises ``ValueError`` if the 1-norm is not
+    finite.
+    """
+    norm = float(np.abs(mat).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential needs a matrix with a finite 1-norm")
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a1 = mat / 2.0**squarings
+    eye = np.eye(mat.shape[0])
+    a2 = a1 @ a1
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    c = _PADE13
+    u = a1 @ (
+        a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+        + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye
+    )
+    v = (
+        a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+        + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
+    )
+    out = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def discretize_zoh(model: PlantModel, ts: float) -> DiscretePlant:
     """Exact zero-order-hold discretization of a linear plant.
 
     Computes a = exp(a_c ts) and b = (integral of exp(a_c s) ds over [0, ts]) b_c
     via the matrix exponential of the augmented block matrix
-    [[a_c, b_c], [0, 0]] * ts (scaling-and-squaring Pade kernel).
+    [[a_c, b_c], [0, 0]] * ts (``_expm``: scaling and squaring of the [13/13]
+    Pade approximant, on numpy's LAPACK).  Raises ``ValueError`` unless ts is
+    positive and finite and the scaled block and its exponential are finite.
     """
-    if ts <= 0:
-        raise ValueError(f"ts must be positive, got {ts}")
+    if not (math.isfinite(ts) and ts > 0):
+        raise ValueError(f"ts must be positive and finite, got {ts}")
     n, p = model.state_dim, model.input_dim
     blk = np.zeros((n + p, n + p))
     blk[:n, :n] = model.a_c
     blk[:n, n:] = model.b_c
-    big = expm(blk * ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = _expm(blk * ts)
+    if not np.isfinite(big).all():
+        raise ValueError(f"ZOH discretization overflows at ts = {ts}")
     return DiscretePlant(a=big[:n, :n], b=big[:n, n:], ts=ts)
+
+
+_SDA_MAX_DOUBLINGS = 64
+
+
+def _sda(a: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Structure-preserving doubling from A = a, G = b r^-1 b', H = q; returns H."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    stop = 64 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for _ in range(_SDA_MAX_DOUBLINGS):
+            sol = np.linalg.solve(eye + g @ h, np.hstack([a, g]))
+            winv_a, winv_g = sol[:, :n], sol[:, n:]
+            h_next = h + a.T @ h @ winv_a
+            g = g + a @ winv_g @ a.T
+            a = a @ winv_a
+            if not np.isfinite(h_next).all():
+                raise np.linalg.LinAlgError("DARE doubling iterate is not finite")
+            if np.abs(h_next - h).max() <= stop * np.abs(h_next).max():
+                return h_next
+            h = h_next
+    raise np.linalg.LinAlgError(f"DARE doubling did not converge in {_SDA_MAX_DOUBLINGS} steps")
 
 
 def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
-    Solves P = q + a'Pa - a'Pb (r + b'Pb)^-1 b'Pa with scipy's generalized
-    Schur method (``scipy.linalg.solve_discrete_are``) and returns the
-    symmetrized 0.5 (P + P').
+    Solves P = q + a'Pa - a'Pb (r + b'Pb)^-1 b'Pa by the structure-preserving
+    doubling algorithm (Lin & Xu, SIAM J. Matrix Anal. Appl. 28, 2006) and
+    returns the symmetrized 0.5 (P + P').  From A = a, G = b r^-1 b', H = q,
+    each doubling solves W = I + G H for [A G] once and sets
+    A <- A W^-1 A, G <- G + A W^-1 G A', H <- H + A' H W^-1 A; H converges
+    quadratically to P and the loop stops once max|H_new - H| <= 64 eps max|H_new|.
+    Started from H = q, the doubling reaches the stabilizing solution only if
+    q weights every unstable mode of a; where its result fails the checks
+    below, P is taken instead from the stable invariant subspace of the
+    symplectic matrix (``np.linalg.eig``) and refined by one Newton step, so
+    a = 2, b = 1, q = 0, r = 1 gives P = 3.
 
     Parameters
     ----------
@@ -148,13 +228,15 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
     ------
     numpy.linalg.LinAlgError
         When no stabilizing solution exists ((a, b) is not stabilizable, or q
-        does not observe a mode of a on the unit circle), when scipy rejects
-        the inputs, or when P is not finite, its ``dare_residual`` exceeds
-        1e-9 max(1, ||P||_F), or the closed loop a - b K (K = ``lqr_gain``)
-        has an eigenvalue of modulus at least 1 - sqrt(eps).  Only the
-        stabilizing solution is returned: where it does not exist this
-        raises, even if a non-stabilizing PSD solution does (q = 0 on the
-        cart-pole has P = 0).
+        does not observe a mode of a on the unit circle) or the inputs do not
+        fit: r is singular, a shape does not match, or both the doubling and
+        the subspace solution fail.  The error raised is the doubling's: it
+        did not converge within 64 steps, an iterate is not finite, W is
+        singular, P's ``dare_residual`` exceeds 1e-9 max(1, ||P||_F), or the
+        closed loop a - b K (K = ``lqr_gain``) has an eigenvalue of modulus
+        at least 1 - sqrt(eps).  Only the stabilizing solution is returned:
+        where it does not exist this raises, even if a non-stabilizing PSD
+        solution does (q = 0 on the cart-pole has P = 0).
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -163,19 +245,55 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
     q = np.atleast_2d(np.asarray(q, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     try:
-        p = solve_discrete_are(a, b, q, r)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        g = b @ np.linalg.solve(r, b.T)
+        try:
+            return _checked_dare(a, b, q, r, _sda(a, g, q))
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
         raise np.linalg.LinAlgError(f"cannot solve the DARE: {exc}") from exc
-    p = 0.5 * (p + p.T)
-    if not np.isfinite(p).all():
-        raise np.linalg.LinAlgError("DARE solution is not finite")
+    try:
+        return _checked_dare(a, b, q, r, _dare_subspace(a, b, q, r, g))
+    except ValueError:  # LinAlgError included
+        raise error from None
+
+
+def _dare_subspace(a, b, q, r, g) -> np.ndarray:
+    """DARE solution from the stable invariant subspace, refined by one Newton step.
+
+    The symplectic matrix [[a + G a'^-1 q, -G a'^-1], [-a'^-1 q, a'^-1]] has
+    [I; P] spanning its stable invariant subspace, so P = U2 U1^-1 for the
+    eigenvectors [U1; U2] of its n eigenvalues inside the unit circle.  One
+    Newton (Hewer) step then solves P = F'PF + q + K'rK for F = a - b K by
+    doubling with G = 0.  Needs a invertible (always so after ZOH); raises
+    ``LinAlgError`` unless exactly n eigenvalues lie inside the circle.
+    """
+    n = a.shape[0]
+    ait = np.linalg.solve(a.T, np.eye(n))
+    with np.errstate(all="ignore"):
+        z = np.block([[a + g @ ait @ q, -g @ ait], [-ait @ q, ait]])
+    vals, vecs = np.linalg.eig(z)
+    stable = np.abs(vals) < 1.0
+    if stable.sum() != n:
+        raise np.linalg.LinAlgError("symplectic matrix has no stable n-dimensional subspace")
+    u = vecs[:, stable]
+    p = np.linalg.solve(u[:n].T, u[n:].T).T.real
+    k = lqr_gain(a, b, q, r, 0.5 * (p + p.T))
+    return _sda(a - b @ k, np.zeros_like(a), q + k.T @ r @ k)
+
+
+def _checked_dare(a, b, q, r, h) -> np.ndarray:
+    """Symmetrized 0.5 (H + H'), or ``LinAlgError`` if it is not the stabilizing solution."""
+    p = 0.5 * (h + h.T)
     residual = dare_residual(a, b, q, r, p)
     if not residual <= 1e-9 * max(1.0, float(np.linalg.norm(p, "fro"))):
         raise np.linalg.LinAlgError(f"DARE solution residual {residual:.3g} is too large")
-    # scipy can count eigenvalues of the pencil that lie on the unit circle
-    # as stable and return a non-stabilizing P (the cart-pole with q = 0 and
-    # r = 1).  A double eigenvalue there is computed only to about sqrt(eps),
-    # so one that close to the circle counts as on it.
+    # A solution of the DARE need not stabilize when the pencil has
+    # eigenvalues on the unit circle (the cart-pole with q = 0 gives P = 0).
+    # A double eigenvalue there is computed only to about sqrt(eps), so one
+    # that close to the circle counts as on it.
     radius = float(np.max(np.abs(np.linalg.eigvals(a - b @ lqr_gain(a, b, q, r, p)))))
     if not radius < 1.0 - np.sqrt(np.finfo(float).eps):
         raise np.linalg.LinAlgError(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
 
 from .condenser import CondensedQp
@@ -136,7 +135,7 @@ def solve_active_set_enumeration(
         raise ValueError(f"enumeration guard: m = {qp.m} exceeds 24")
     x0 = np.asarray(x0, dtype=float)
     n_u = qp.h.shape[0]
-    chol = cho_factor(qp.h)
+    low = np.linalg.cholesky(qp.h)
     sx0 = qp.s @ x0
     rhs_con = qp.g_vec + qp.t_mat @ x0
 
@@ -145,7 +144,7 @@ def solve_active_set_enumeration(
         for subset in combinations(range(qp.m), size):
             idx = list(subset)
             if size == 0:
-                u = -cho_solve(chol, sx0)
+                u = -np.linalg.solve(low.T, np.linalg.solve(low, sx0))
                 lam_a = np.zeros(0)
             else:
                 g_a = qp.g_mat[idx]
@@ -221,19 +220,29 @@ def _minimal_norm_dual(qp, x0, sol: QpSolution, tol: float) -> np.ndarray | None
     return best_lam
 
 
+def _dual_data(qp: CondensedQp, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dual Hessian F = G H^-1 G' and linear term q = G H^-1 S x0 + g + T x0.
+
+    With H = L L' and W = L^-1 G', F = W'W, which is exactly symmetric.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    low = np.linalg.cholesky(qp.h)
+    w = np.linalg.solve(low, qp.g_mat.T)
+    q_vec = w.T @ np.linalg.solve(low, qp.s @ x0) + qp.g_vec + qp.t_mat @ x0
+    return w.T @ w, q_vec
+
+
 def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
     """Dual objective 1/2 lam' G H^-1 G' lam + (G H^-1 S x0 + g + T x0)' lam."""
-    chol = cho_factor(qp.h)
-    hinv_gt = cho_solve(chol, qp.g_mat.T)
-    f_mat = qp.g_mat @ hinv_gt
-    q_vec = qp.g_mat @ cho_solve(chol, qp.s @ x0) + qp.g_vec + qp.t_mat @ x0
+    f_mat, q_vec = _dual_data(qp, x0)
     return float(0.5 * lam @ f_mat @ lam + q_vec @ lam)
 
 
 def primal_from_dual(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Stationarity recovery  u = -H^-1 (G' lam + S x0)."""
-    chol = cho_factor(qp.h)
-    return -cho_solve(chol, qp.g_mat.T @ lam + qp.s @ np.asarray(x0, dtype=float))
+    low = np.linalg.cholesky(qp.h)
+    rhs = qp.g_mat.T @ lam + qp.s @ np.asarray(x0, dtype=float)
+    return -np.linalg.solve(low.T, np.linalg.solve(low, rhs))
 
 
 def solve_projected_gradient(
@@ -249,11 +258,8 @@ def solve_projected_gradient(
     must not exceed 1/L with L the largest eigenvalue of F, which makes the
     dual objective non-increasing.
     """
-    x0 = np.asarray(x0, dtype=float)
-    chol = cho_factor(qp.h)
-    f_mat = qp.g_mat @ cho_solve(chol, qp.g_mat.T)
-    q_vec = qp.g_mat @ cho_solve(chol, qp.s @ x0) + qp.g_vec + qp.t_mat @ x0
-    lip = float(np.max(np.linalg.eigvalsh(0.5 * (f_mat + f_mat.T))))
+    f_mat, q_vec = _dual_data(qp, x0)
+    lip = float(np.max(np.linalg.eigvalsh(f_mat)))
     if step is None:
         step = 1.0 / lip if lip > 0 else 1.0
     elif lip > 0 and step > 1.0 / lip + 1e-12:

@@ -171,6 +171,23 @@ class TestBuildNetwork:
         _, _, _, data = cart_pole_setup
         assert np.linalg.norm(data.gamma - data.gamma.T, "fro") <= 1e-10
 
+    @pytest.mark.parametrize("horizon", [2, 40])
+    def test_gamma_exactly_symmetric(self, horizon):
+        config = nm.ExperimentConfig.cart_pole_default(horizon=horizon)
+        _, qp, data = nm.build_problem(config)
+        assert np.array_equal(data.gamma, data.gamma.T)
+        sdata, _ = nm.augment_slack(qp, config.rho)
+        assert np.array_equal(sdata.gamma, sdata.gamma.T)
+
+    def test_indefinite_h_rejected(self, cart_pole_setup):
+        _, _, qp, _ = cart_pole_setup
+        bad = nm.CondensedQp(
+            h=-qp.h, s=qp.s, g_mat=qp.g_mat, t_mat=qp.t_mat, g_vec=qp.g_vec,
+            m=qp.m, upsilon_rows=qp.upsilon_rows,
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="H factorization failed"):
+            nm.build_network(bad)
+
     def test_gamma_spectrum(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
         # I - gamma is the dual Hessian, which is PSD

@@ -166,6 +166,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    LINEAR_1X1 = {
+        "plant": {"type": "linear", "a_c": [[1.0]], "b_c": [[1.0]]},
+        "r": [1.0],
+        "x0": [0.1],
+        "state_constraints": {"c_rows": [[1.0]], "lower": [-1.0], "upper": [1.0]},
+        "input_constraints": {"lower": [-5.0], "upper": [5.0]},
+    }
+
+    def test_condense_unweighted_unstable_mode(self, tmp_path, capsys):
+        # q = 0 leaves the unstable mode unweighted; a stabilizing P exists.
+        cfg = tmp_path / "q0.json"
+        cfg.write_text(json.dumps({**self.LINEAR_1X1, "q": [0.0]}))
+        assert cli_main(["condense", "--config", str(cfg)]) == 0
+        assert "h" in json.loads(capsys.readouterr().out)
+
+    def test_condense_overflowing_ts_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "ts.json"
+        cfg.write_text(json.dumps({**self.LINEAR_1X1, "q": [1.0], "ts": 1e308}))
+        assert cli_main(["condense", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ZOH discretization overflows")
+
     def test_reproduce_writes_full_suite(self, tmp_path, capsys):
         out = tmp_path / "report"
         assert cli_main(["reproduce-paper", "--out", str(out)]) == 0

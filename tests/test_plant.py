@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import expm, solve_discrete_are
 
 import neural_mpc as nm
+from neural_mpc.plant import _dare_subspace, _expm
 
 
 def taylor_expm(mat, terms=20):
@@ -71,6 +72,128 @@ class TestDiscretizeZoh:
             nm.PlantModel(np.array([[np.nan, 0], [0, 0]]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             nm.PlantModel(np.zeros((2, 3)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize(
+        "a_c, ts", [(1.0, np.inf), (1.0, np.nan), (1.0, 1e300), (1.0, 1e308), (2.0, 1e308)]
+    )
+    def test_rejects_overflowing_ts(self, a_c, ts):
+        # a_c ts = 2e308 overflows the block itself; 1e300 and 1e308 overflow
+        # only its exponential.
+        model = nm.PlantModel(np.array([[a_c]]), np.eye(1))
+        with pytest.raises(ValueError):
+            nm.discretize_zoh(model, ts)
+
+
+def cart_pole_block(ts):
+    model = nm.cart_pole_model()
+    blk = np.zeros((5, 5))
+    blk[:4, :4] = model.a_c
+    blk[:4, 4:] = model.b_c
+    return blk * ts
+
+
+def assert_expm_close(mat):
+    """_expm within 1e-13 max(1, ||mat||_1) of scipy, relative to its largest entry."""
+    ref = expm(mat)
+    tol = 1e-13 * max(1.0, np.abs(mat).sum(axis=0).max())
+    assert np.max(np.abs(_expm(mat) - ref)) <= tol * np.max(np.abs(ref))
+
+
+class TestExpm:
+    @pytest.mark.parametrize("norm", np.logspace(-3, 2, 11))
+    def test_random_against_scipy(self, norm):
+        # theta_13 = 5.37: the 1-norms span 0 to 5 squarings.
+        rng = np.random.default_rng(int(norm * 1000))
+        for n in range(1, 9):
+            mat = rng.normal(size=(n, n))
+            assert_expm_close(mat * norm / np.abs(mat).sum(axis=0).max())
+
+    @pytest.mark.parametrize("ts", [0.02, 0.1, 1.0])
+    def test_defective_cart_pole_block(self, ts):
+        # The augmented block has a defective zero eigenvalue.
+        assert_expm_close(cart_pole_block(ts))
+
+    def test_zero_matrix_is_exact_identity(self):
+        for n in (1, 3, 5):
+            assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+
+
+def random_stabilizable(rng, n):
+    """Random (a, b, q, r) with spectral radius of a in [0.5, 1.5] and q > 0."""
+    p = int(rng.integers(1, 3))
+    a = rng.normal(size=(n, n))
+    a *= rng.uniform(0.5, 1.5) / np.max(np.abs(np.linalg.eigvals(a)))
+    c = rng.normal(size=(n, n))
+    q = c.T @ c / n + 1e-3 * np.eye(n)
+    return a, rng.normal(size=(n, p)), q, np.eye(p) * rng.uniform(0.1, 2.0)
+
+
+class TestSolveDareDoubling:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_against_scipy_and_recursion(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2):
+            a, b, q, r = random_stabilizable(rng, n)
+            p = nm.solve_dare(a, b, q, r)
+            p_scipy = solve_discrete_are(a, b, q, r)
+            p_rec, _ = riccati_recursion(a, b, q, r)
+            scale = np.max(np.abs(p_scipy))
+            assert np.max(np.abs(p - p_scipy)) <= 1e-10 * scale
+            assert np.max(np.abs(p - p_rec)) <= 1e-8 * scale
+
+    def test_doubling_cap_raises(self):
+        # H doubles every step and never meets the stop test.
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            nm.solve_dare(np.eye(1), np.zeros((1, 1)), np.eye(1), np.eye(1))
+
+
+def random_undetectable(rng, n):
+    """Random stabilizable (a, b, q, r) whose q is zero on a's unstable modes."""
+    while True:
+        a = rng.normal(size=(n, n))
+        vals, vecs = np.linalg.eig(a)
+        moduli = 1.3 * np.abs(vals) / np.max(np.abs(vals))
+        a *= 1.3 / np.max(np.abs(vals))
+        span = np.hstack([vecs[:, moduli > 1].real, vecs[:, moduli > 1].imag])
+        rank = np.linalg.matrix_rank(span)
+        if rank < n and np.min(np.abs(moduli - 1)) > 0.05:
+            break
+    null = np.linalg.svd(span.T)[2][rank:]
+    return a, rng.normal(size=(n, 1)), null.T @ null, np.eye(1)
+
+
+class TestSolveDareSubspace:
+    def test_unweighted_unstable_scalar(self):
+        # Doubling from H = q = 0 stays at the non-stabilizing P = 0.
+        p = nm.solve_dare([[2.0]], [[1.0]], [[0.0]], [[1.0]])
+        assert np.allclose(p, [[3.0]], rtol=1e-14)
+
+    def test_unweighted_unstable_block(self):
+        # H e0 = 0 and W e0 = e0 hold exactly, so doubling keeps H e0 = 0.
+        a, b, q, r = np.diag([2.0, 0.5]), np.ones((2, 1)), np.diag([0.0, 1.0]), np.eye(1)
+        p = nm.solve_dare(a, b, q, r)
+        p_scipy = solve_discrete_are(a, b, q, r)
+        assert np.max(np.abs(p - p_scipy)) <= 1e-13 * np.max(np.abs(p_scipy))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_against_scipy(self, n):
+        # Doubling either fails here or drifts to the stabilizing solution
+        # through rounding error, which costs accuracy (8e-11 at n = 2).
+        rng = np.random.default_rng(200 + n)
+        a, b, q, r = random_undetectable(rng, n)
+        p = nm.solve_dare(a, b, q, r)
+        p_scipy = solve_discrete_are(a, b, q, r)
+        assert np.max(np.abs(p - p_scipy)) <= 1e-9 * np.max(np.abs(p_scipy))
+        k = nm.lqr_gain(a, b, q, r, p)
+        assert np.max(np.abs(np.linalg.eigvals(a - b @ k))) < 1.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_newton_step_reaches_rounding_level(self, n):
+        # The eigenvector solution alone leaves residuals up to 1.9e-14 here.
+        a, b, q, r = random_undetectable(np.random.default_rng(200 + n), n)
+        p = _dare_subspace(a, b, q, r, b @ np.linalg.solve(r, b.T))
+        p = 0.5 * (p + p.T)
+        assert nm.dare_residual(a, b, q, r, p) <= 1e-15 * max(1.0, np.linalg.norm(p))
 
 
 class TestSolveDare:
