@@ -16,6 +16,7 @@ step-major over k = 1..N, two rows per constrained output (upper then lower).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,24 @@ class CondensedQp:
         if not self.row_labels:
             self.row_labels = [f"row[{i}]" for i in range(self.m)]
 
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(L, W_G, W_S)`` with H = L L' and [W_G W_S] = L^-1 [G' S].
+
+        Computed on first use and kept: every solve with H in the package
+        (network weights, the oracle, the dual data) goes through this one
+        factorization, so h, g_mat and s must not change after that.  The
+        arrays are shared by every caller and read-only.  Raises LinAlgError
+        if H is not positive definite.
+        """
+        try:
+            low = np.linalg.cholesky(self.h)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"H factorization failed: {exc}") from exc
+        w = np.linalg.solve(low, np.hstack([self.g_mat.T, self.s]))
+        low.flags.writeable = w.flags.writeable = False
+        return low, w[:, : self.m], w[:, self.m :]
+
 
 @dataclass
 class NetworkData:
@@ -174,10 +193,11 @@ def build_prediction_matrices(problem: MpcProblem) -> tuple[np.ndarray, np.ndarr
     for _ in range(big_n):
         powers.append(a @ powers[-1])
     s_x = np.vstack(powers[1:])
+    # Block column j is block column 0, A^0 B .. A^(N-1) B, shifted down j blocks.
+    col = np.vstack([pw @ b for pw in powers[:big_n]])
     s_u = np.zeros((big_n * n, big_n * p))
-    for i in range(big_n):
-        for j in range(i + 1):
-            s_u[i * n : (i + 1) * n, j * p : (j + 1) * p] = powers[i - j] @ b
+    for j in range(big_n):
+        s_u[j * n :, j * p : (j + 1) * p] = col[: (big_n - j) * n]
     return s_x, s_u
 
 
@@ -268,18 +288,13 @@ def build_network(qp: CondensedQp) -> NetworkData:
     """Build firing-rate network weights from a condensed QP.
 
     gamma = I - G H^-1 G' and m_map = G H^-1 S + T; H is never inverted, only
-    factored as H = L L'.  With [W_G W_S] = L^-1 [G' S], gamma = I - W_G' W_G,
-    which is exactly symmetric, with all eigenvalues <= 1 because W_G' W_G is
-    positive semidefinite, and m_map = W_G' W_S + T.
+    factored as H = L L' (``qp.factor``).  With [W_G W_S] = L^-1 [G' S],
+    gamma = I - W_G' W_G, which is exactly symmetric, with all eigenvalues
+    <= 1 because W_G' W_G is positive semidefinite, and m_map = W_G' W_S + T.
     """
-    try:
-        low = np.linalg.cholesky(qp.h)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"H factorization failed: {exc}") from exc
-    w = np.linalg.solve(low, np.hstack([qp.g_mat.T, qp.s]))
-    w_g, w_s = w[:, : qp.m], w[:, qp.m :]
+    low, w_g, w_s = qp.factor
     p = qp.upsilon_rows
-    readout = np.linalg.solve(low.T, w)[:p]  # rows of H^-1 [G' S]
+    readout = np.linalg.solve(low.T, np.hstack([w_g, w_s]))[:p]  # rows of H^-1 [G' S]
     return NetworkData(
         gamma=np.eye(qp.m) - w_g.T @ w_g,
         m_map=w_g.T @ w_s + qp.t_mat,

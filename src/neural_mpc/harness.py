@@ -18,8 +18,9 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -133,57 +134,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        plant_doc = doc.pop("plant", {"type": "cart_pole"})
-        kind = plant_doc.get("type", "cart_pole")
-        if kind in ("cart_pole", "cartpole"):
-            params = CartPoleParams(
-                cart_mass=plant_doc.get("cart_mass", 0.5),
-                pend_mass=plant_doc.get("pend_mass", 0.4),
-                length=plant_doc.get("length", 1.0),
-                gravity=plant_doc.get("gravity", 9.81),
-            )
-            model = cart_pole_model(params)
-        elif kind == "linear":
-            model = PlantModel(np.array(plant_doc["a_c"]), np.array(plant_doc["b_c"]))
-        else:
-            raise ValueError(f"unknown plant type {kind!r}")
-
-        kwargs: dict = {"plant_model": model}
-        if "q" in doc:
-            kwargs["q"] = _as_weight(doc.pop("q"))
-        if "r" in doc:
-            kwargs["r"] = _as_weight(doc.pop("r"))
-        if "p_term" in doc:
-            p = doc.pop("p_term")
-            kwargs["p_term"] = p if isinstance(p, str) else np.array(p, dtype=float)
-        if "state_constraints" in doc:
-            sc = doc.pop("state_constraints")
-            kwargs["state_con"] = StateConstraint(
-                c_rows=np.array(sc["c_rows"], dtype=float),
-                lower=np.array(sc["lower"], dtype=float),
-                upper=np.array(sc["upper"], dtype=float),
-            )
-        if "input_constraints" in doc:
-            ic = doc.pop("input_constraints")
-            kwargs["input_con"] = InputConstraint(
-                lower=np.array(ic["lower"], dtype=float),
-                upper=np.array(ic["upper"], dtype=float),
-            )
-        if "x0" in doc:
-            kwargs["x0"] = np.array(doc.pop("x0"), dtype=float)
-        if "variants" in doc:
-            kwargs["variants"] = tuple(doc.pop("variants"))
-        for key in (
-            "ts", "horizon", "duration", "eta", "eps0", "rho",
-            "prune_threshold", "prune_shift", "s_omega", "s_psi",
-            "s_omega_approx", "s_psi_approx", "settle_tol",
-            "warm_start", "nonlinear_plant", "seed",
-        ):
-            if key in doc:
-                kwargs[key] = doc.pop(key)
-        if doc:
-            raise ValueError(f"unknown config keys: {sorted(doc)}")
+        """Config from its JSON document; ValueError on an unknown key or a wrong type."""
+        kwargs = _read_fields(cls, doc, "config")
+        kwargs.setdefault("plant_model", cart_pole_model())
+        for name in ("q", "r"):  # a scalar or a list is shorthand for a diagonal weight
+            if name in kwargs and kwargs[name].ndim < 2:
+                kwargs[name] = np.diag(np.atleast_1d(kwargs[name]))
         return cls(**kwargs)
 
     @classmethod
@@ -192,60 +148,77 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "plant": {
-                "type": "linear",
-                "a_c": self.plant_model.a_c.tolist(),
-                "b_c": self.plant_model.b_c.tolist(),
-            }
-            if self.plant_model.cart_pole_params is None
-            else {
-                "type": "cart_pole",
-                "cart_mass": self.plant_model.cart_pole_params.cart_mass,
-                "pend_mass": self.plant_model.cart_pole_params.pend_mass,
-                "length": self.plant_model.cart_pole_params.length,
-                "gravity": self.plant_model.cart_pole_params.gravity,
-            },
-            "ts": self.ts,
-            "horizon": self.horizon,
-            "q": self.q.tolist(),
-            "r": self.r.tolist(),
-            "p_term": self.p_term if isinstance(self.p_term, str) else self.p_term.tolist(),
-            "state_constraints": {
-                "c_rows": self.state_con.c_rows.tolist(),
-                "lower": self.state_con.lower.tolist(),
-                "upper": self.state_con.upper.tolist(),
-            },
-            "input_constraints": {
-                "lower": self.input_con.lower.tolist(),
-                "upper": self.input_con.upper.tolist(),
-            },
-            "x0": self.x0.tolist(),
-            "duration": self.duration,
-            "variants": list(self.variants),
-            "eta": self.eta,
-            "eps0": self.eps0,
-            "rho": self.rho,
-            "prune_threshold": self.prune_threshold,
-            "prune_shift": self.prune_shift,
-            "s_omega": self.s_omega,
-            "s_psi": self.s_psi,
-            "s_omega_approx": self.s_omega_approx,
-            "s_psi_approx": self.s_psi_approx,
-            "settle_tol": self.settle_tol,
-            "warm_start": self.warm_start,
-            "nonlinear_plant": self.nonlinear_plant,
-            "seed": self.seed,
-        }
+        return _encode(self)
 
 
-def _as_weight(value) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        return np.diag(arr)
-    return arr
+# JSON keys of the config fields whose key is not the field name.
+_KEYS = {"plant_model": "plant", "state_con": "state_constraints", "input_con": "input_constraints"}
+
+
+def _encode(value):
+    """JSON form of a value: arrays as nested lists, dataclasses field by field."""
+    if isinstance(value, PlantModel):
+        params = value.cart_pole_params
+        if params is None:
+            return {"type": "linear", "a_c": value.a_c.tolist(), "b_c": value.b_c.tolist()}
+        return {"type": "cart_pole", **_encode(params)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return {_KEYS.get(f.name, f.name): _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _read_fields(cls, doc, where: str) -> dict:
+    """Decoded keyword arguments of dataclass ``cls`` from the JSON object ``doc``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    hints = get_type_hints(cls)
+    names = {_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"unknown config keys in {where}: {unknown}")
+    return {names[k]: _decode(hints[names[k]], v, f"{where}.{k}") for k, v in doc.items()}
+
+
+def _decode(tp, value, where: str):
+    """``value`` of a JSON document read as type ``tp``; ValueError if it does not fit.
+
+    A dataclass is read field by field from an object, and every field
+    without a default must be given.  The plant is the one hand-written
+    codec: ``{"type": "cart_pole", <CartPoleParams>}`` or
+    ``{"type": "linear", "a_c": ..., "b_c": ...}``.
+    """
+    if tp is PlantModel and isinstance(value, dict):
+        value = dict(value)
+        kind = value.pop("type", "cart_pole")
+        if kind in ("cart_pole", "cartpole"):
+            return cart_pole_model(_decode(CartPoleParams, value, where))
+        if kind != "linear":
+            raise ValueError(f"unknown plant type {kind!r}")
+    if is_dataclass(tp):
+        kwargs = _read_fields(tp, value, where)
+        try:
+            return tp(**kwargs)
+        except TypeError as exc:  # a required key is missing
+            raise ValueError(f"{where}: {exc}") from None
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(value)
+    args = get_args(tp)
+    if isinstance(value, str) and str in args:  # p_term: "dare"
+        return value
+    if np.ndarray in (tp, *args):
+        try:
+            return np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} must be a number or nested lists of numbers") from None
+    if type(value) is tp or (tp is float and type(value) is int):
+        return value
+    raise ValueError(f"{where} must be of type {getattr(tp, '__name__', tp)}, got {value!r}")
 
 
 @dataclass
@@ -364,15 +337,7 @@ def _make_controller(variant, config, qp, data, shared):
         )
         return _MultilayerController(net, data, config)
     if variant == "perturbed":
-        pert = shared["perturbation"]
-        pdata = NetworkData(
-            gamma=data.gamma + pert.delta,
-            m_map=data.m_map,
-            bias=data.bias,
-            u_feedback=data.u_feedback,
-            u_dual_map=data.u_dual_map,
-            node_labels=data.node_labels,
-        )
+        pdata = replace(data, gamma=data.gamma + shared["perturbation"].delta)
         return _SingleLayerController(pdata, config, eps0=0.0)
     if variant == "slack":
         sdata, _ = shared["slack"]
@@ -398,7 +363,6 @@ def _factorize(data: NetworkData, s_omega: int, s_psi: int, k_bar: int = 100_000
         "psi": psi,
         "residual": float(history[-1]),
         "iterations": int(len(history)),
-        "history": history,
     }
 
 
@@ -519,8 +483,7 @@ def _build_report(config, traces, shared, runtimes, data, nominal_settle):
     if "factorization" in shared:
         report["factorization"] = {
             key: {
-                "residual": fac["residual"],
-                "iterations": fac["iterations"],
+                **_factorization_entry(fac),
                 "nnz_omega": int(np.count_nonzero(np.vstack([fac["omega1"], fac["omega2"]]))),
                 "nnz_psi": int(np.count_nonzero(fac["psi"])),
             }
@@ -529,14 +492,7 @@ def _build_report(config, traces, shared, runtimes, data, nominal_settle):
 
     if "perturbation" in shared:
         pert = shared["perturbation"]
-        entry = {
-            "threshold": config.prune_threshold,
-            "diag_shift": config.prune_shift,
-            "contracting": bool(pert.contracting),
-            "mu": float(pert.mu),
-            "nnz_before": int(np.count_nonzero(data.gamma)),
-            "nnz_after": int(np.count_nonzero(data.gamma + pert.delta)),
-        }
+        entry = _perturbation_entry(config, data, pert)
         if nominal_settle and "perturbed" in traces and "single_layer" in traces:
             checks = []
             tr1, tr2 = traces["single_layer"], traces["perturbed"]
@@ -562,6 +518,23 @@ def _build_report(config, traces, shared, runtimes, data, nominal_settle):
         _, meta = shared["slack"]
         report["slack"] = {"rho": meta.rho, "m": meta.m, "m_s": meta.m_s}
     return report
+
+
+def _factorization_entry(fac: dict) -> dict:
+    """What a factorization reached: its final residual and its PALM sweeps."""
+    return {"residual": fac["residual"], "iterations": fac["iterations"]}
+
+
+def _perturbation_entry(config: ExperimentConfig, data: NetworkData, pert) -> dict:
+    """The pruning settings, its contraction check and the edge counts it left."""
+    return {
+        "threshold": config.prune_threshold,
+        "diag_shift": config.prune_shift,
+        "contracting": bool(pert.contracting),
+        "mu": float(pert.mu),
+        "nnz_before": int(np.count_nonzero(data.gamma)),
+        "nnz_after": int(np.count_nonzero(data.gamma + pert.delta)),
+    }
 
 
 def _build_graphs(data, shared) -> dict[str, NetworkGraph]:
@@ -598,24 +571,9 @@ def write_trace_csv(trace: ClosedLoopTrace, path: str | Path) -> None:
 
 def qp_to_json(qp: CondensedQp, data: NetworkData) -> dict:
     """JSON document with the condensed QP and the derived network weights."""
-    return {
-        "h": qp.h.tolist(),
-        "s": qp.s.tolist(),
-        "g_mat": qp.g_mat.tolist(),
-        "t_mat": qp.t_mat.tolist(),
-        "g_vec": qp.g_vec.tolist(),
-        "m": qp.m,
-        "upsilon_rows": qp.upsilon_rows,
-        "row_labels": qp.row_labels,
-        "input_row_count": qp.input_row_count,
-        "network": {
-            "gamma": data.gamma.tolist(),
-            "m_map": data.m_map.tolist(),
-            "bias": data.bias.tolist(),
-            "u_feedback": data.u_feedback.tolist(),
-            "u_dual_map": data.u_dual_map.tolist(),
-        },
-    }
+    network = _encode(data)
+    del network["node_labels"]  # the QP's row_labels already name the nodes
+    return {**_encode(qp), "network": network}
 
 
 def _write_or_print(text: str, out: str | None):
@@ -672,15 +630,8 @@ def _cmd_factorize(args) -> int:
     config = _load_config(args.config)
     _, _, data = build_problem(config)
     fac = _factorize(data, args.s_omega, args.s_psi)
-    doc = {
-        "s_omega": args.s_omega,
-        "s_psi": args.s_psi,
-        "residual": fac["residual"],
-        "iterations": fac["iterations"],
-        "omega1": fac["omega1"].tolist(),
-        "omega2": fac["omega2"].tolist(),
-        "psi": fac["psi"].tolist(),
-    }
+    doc = {"s_omega": args.s_omega, "s_psi": args.s_psi, **_factorization_entry(fac)}
+    doc.update((key, fac[key].tolist()) for key in ("omega1", "omega2", "psi"))
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -693,15 +644,7 @@ def _cmd_perturb(args) -> int:
         config.prune_shift = args.shift
     _, _, data = build_problem(config)
     pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
-    doc = {
-        "threshold": config.prune_threshold,
-        "diag_shift": config.prune_shift,
-        "contracting": bool(pert.contracting),
-        "mu": float(pert.mu),
-        "nnz_before": int(np.count_nonzero(data.gamma)),
-        "nnz_after": int(np.count_nonzero(data.gamma + pert.delta)),
-        "delta": pert.delta.tolist(),
-    }
+    doc = {**_perturbation_entry(config, data, pert), "delta": pert.delta.tolist()}
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 

@@ -44,9 +44,10 @@ def _objective(qp: CondensedQp, x0: np.ndarray, u: np.ndarray) -> float:
 def solve_qp(qp: CondensedQp, x0: np.ndarray, tol: float = 1e-9) -> QpSolution:
     """Solve the condensed QP exactly by NNLS on its least-distance form.
 
-    With H = L L' and v = L'u + L^-1 S x0 the QP becomes min 1/2 ||v||^2
-    s.t. E v <= f, with E = G L^-T and f = g + T x0 + G H^-1 S x0 (Lawson &
-    Hanson, *Solving Least Squares Problems*, 1974, ch. 23).  One NNLS solve
+    With H = L L' (``qp.factor``) and v = L'u + L^-1 S x0 the QP becomes
+    min 1/2 ||v||^2 s.t. E v <= f, with E = G L^-T = W_G' and
+    f = g + T x0 + G H^-1 S x0 (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23).  One NNLS solve
     y = argmin_{y >= 0} ||[-E'; -f'] y - e_{n+1}|| with residual r gives
     v = -r[:n] / r[n], the dual lam = y / (1 + f'y) and u = -H^-1 S x0 + L^-T v.
     A vanishing residual certifies that the constraints are infeasible.
@@ -66,11 +67,10 @@ def solve_qp(qp: CondensedQp, x0: np.ndarray, tol: float = 1e-9) -> QpSolution:
     """
     x0 = np.asarray(x0, dtype=float)
     n_u = qp.h.shape[0]
-    low = np.linalg.cholesky(qp.h)
-    c_vec = np.linalg.solve(low, qp.s @ x0)  # L^-1 S x0
-    e_mat = np.linalg.solve(low, qp.g_mat.T).T
+    low, w_g, w_s = qp.factor
+    c_vec = w_s @ x0  # L^-1 S x0
     w_vec = qp.g_vec + qp.t_mat @ x0
-    mat = np.vstack([-e_mat.T, -(w_vec + e_mat @ c_vec)])
+    mat = np.vstack([-w_g, -(w_vec + w_g.T @ c_vec)])
     rhs = np.zeros(n_u + 1)
     rhs[n_u] = 1.0
     y, rnorm = nnls(mat, rhs)
@@ -135,7 +135,7 @@ def solve_active_set_enumeration(
         raise ValueError(f"enumeration guard: m = {qp.m} exceeds 24")
     x0 = np.asarray(x0, dtype=float)
     n_u = qp.h.shape[0]
-    low = np.linalg.cholesky(qp.h)
+    low, _, w_s = qp.factor
     sx0 = qp.s @ x0
     rhs_con = qp.g_vec + qp.t_mat @ x0
 
@@ -144,7 +144,7 @@ def solve_active_set_enumeration(
         for subset in combinations(range(qp.m), size):
             idx = list(subset)
             if size == 0:
-                u = -np.linalg.solve(low.T, np.linalg.solve(low, sx0))
+                u = -np.linalg.solve(low.T, w_s @ x0)
                 lam_a = np.zeros(0)
             else:
                 g_a = qp.g_mat[idx]
@@ -223,13 +223,13 @@ def _minimal_norm_dual(qp, x0, sol: QpSolution, tol: float) -> np.ndarray | None
 def _dual_data(qp: CondensedQp, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dual Hessian F = G H^-1 G' and linear term q = G H^-1 S x0 + g + T x0.
 
-    With H = L L' and W = L^-1 G', F = W'W, which is exactly symmetric.
+    With H = L L' and W_G = L^-1 G' (``qp.factor``), F = W_G' W_G, which is
+    exactly symmetric.
     """
     x0 = np.asarray(x0, dtype=float)
-    low = np.linalg.cholesky(qp.h)
-    w = np.linalg.solve(low, qp.g_mat.T)
-    q_vec = w.T @ np.linalg.solve(low, qp.s @ x0) + qp.g_vec + qp.t_mat @ x0
-    return w.T @ w, q_vec
+    _, w_g, w_s = qp.factor
+    q_vec = w_g.T @ (w_s @ x0) + qp.g_vec + qp.t_mat @ x0
+    return w_g.T @ w_g, q_vec
 
 
 def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
@@ -239,10 +239,9 @@ def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
 
 
 def primal_from_dual(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Stationarity recovery  u = -H^-1 (G' lam + S x0)."""
-    low = np.linalg.cholesky(qp.h)
-    rhs = qp.g_mat.T @ lam + qp.s @ np.asarray(x0, dtype=float)
-    return -np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+    """Stationarity recovery  u = -H^-1 (G' lam + S x0) = -L^-T (W_G lam + W_S x0)."""
+    low, w_g, w_s = qp.factor
+    return -np.linalg.solve(low.T, w_g @ lam + w_s @ np.asarray(x0, dtype=float))
 
 
 def solve_projected_gradient(

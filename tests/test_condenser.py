@@ -86,6 +86,24 @@ class TestPredictionMatrices:
             assert np.max(np.abs(stacked - np.concatenate(xs[1:]))) < 1e-12
 
 
+    @pytest.mark.parametrize("horizon", [1, 2, 40])
+    def test_s_u_bitwise_equals_blockwise_products(self, horizon):
+        config = nm.ExperimentConfig.cart_pole_default(horizon=horizon)
+        problem, _, _ = nm.build_problem(config)
+        a, b = problem.plant.a, problem.plant.b
+        n, p = problem.plant.state_dim, problem.plant.input_dim
+        # Oracle: one product A^(i-j) B per block, as the condensation is defined.
+        powers = [np.eye(n)]
+        for _ in range(horizon):
+            powers.append(a @ powers[-1])
+        expected = np.zeros((horizon * n, horizon * p))
+        for i in range(horizon):
+            for j in range(i + 1):
+                expected[i * n : (i + 1) * n, j * p : (j + 1) * p] = powers[i - j] @ b
+        _, s_u = nm.build_prediction_matrices(problem)
+        assert np.array_equal(s_u, expected)
+
+
 class TestCondense:
     def test_benchmark_row_count(self, cart_pole_setup):
         _, _, qp, _ = cart_pole_setup
@@ -199,6 +217,44 @@ class TestBuildNetwork:
         hinv = np.linalg.inv(qp.h)
         assert np.allclose(data.u_feedback, hinv[:1] @ qp.s, atol=1e-10)
         assert np.allclose(data.u_dual_map, (hinv @ qp.g_mat.T)[:1], atol=1e-10)
+
+
+class TestOneFactor:
+    def test_h_factored_once_per_qp(self, cart_pole_setup, monkeypatch):
+        _, problem, _, _ = cart_pole_setup
+        qp = nm.condense(problem)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(h):
+            calls.append(h.shape)
+            return cholesky(h)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        x0 = np.array([0.3, 0.0, 0.15, 0.0])
+        nm.build_network(qp)
+        nm.augment_slack(qp, 1e4)
+        sol = nm.solve_qp(qp, x0)
+        nm.primal_from_dual(qp, x0, sol.lam)
+        nm.dual_objective(qp, x0, sol.lam)
+        nm.solve_projected_gradient(qp, x0, iters=10)
+        assert len(calls) == 1
+
+    def test_factor_reproduces_h(self, cart_pole_setup):
+        _, _, qp, _ = cart_pole_setup
+        low, w_g, w_s = qp.factor
+        assert np.allclose(low @ low.T, qp.h, rtol=1e-13, atol=0.0)
+        assert np.allclose(low @ w_g, qp.g_mat.T, atol=1e-12)
+        assert np.allclose(low @ w_s, qp.s, atol=1e-12)
+
+    def test_indefinite_h_rejected_by_every_solve(self, cart_pole_setup):
+        _, _, qp, _ = cart_pole_setup
+        bad = nm.CondensedQp(
+            h=-qp.h, s=qp.s, g_mat=qp.g_mat, t_mat=qp.t_mat, g_vec=qp.g_vec,
+            m=qp.m, upsilon_rows=qp.upsilon_rows,
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="H factorization failed"):
+            nm.solve_qp(bad, np.zeros(4))
 
 
 class TestAugmentSlack:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,46 @@ class TestConfig:
         config = nm.ExperimentConfig.cart_pole_default()
         back = nm.ExperimentConfig.from_dict(config.to_dict())
         assert back.to_dict() == config.to_dict()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"plant": {"type": "linear", "a_c": [[0.0, 1.0], [2.0, 0.0]], "b_c": [[0.0], [1.0]]},
+             "q": [[1.0, 0.0], [0.0, 2.0]], "r": [[0.5]], "x0": [0.1, 0.0],
+             "state_constraints": {"c_rows": [[1.0, 0.0]], "lower": [-1.0], "upper": [2.0]}},
+            {"p_term": [[4.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
+                        [0.0, 0.0, 2.0, 0.5], [0.0, 0.0, 0.5, 1.0]]},
+            {"state_constraints": {"c_rows": [[0.0, 1.0, 0.0, 0.0]], "lower": [-2.0],
+                                   "upper": [3.0]},
+             "input_constraints": {"lower": [-4.0], "upper": [5.5]}},
+            {"nonlinear_plant": True, "warm_start": False, "horizon": 5, "rho": 100},
+            {"plant": {"type": "cartpole", "cart_mass": 0.7, "length": 0.5}},
+        ],
+        ids=["linear", "p_term", "constraints", "flags", "cartpole_alias"],
+    )
+    def test_non_default_round_trip(self, overrides):
+        config = nm.ExperimentConfig.from_dict(overrides)
+        doc = json.loads(json.dumps(config.to_dict()))
+        for key, value in overrides.items():
+            if key == "plant":
+                assert {k: doc[key][k] for k in value if k != "type"} == {
+                    k: v for k, v in value.items() if k != "type"
+                }
+            else:
+                assert doc[key] == value
+        back = nm.ExperimentConfig.from_dict(doc)
+        assert back.to_dict() == doc
+        assert np.array_equal(back.plant_model.a_c, config.plant_model.a_c)
+        assert np.array_equal(back.plant_model.b_c, config.plant_model.b_c)
+
+    def test_every_field_serialized(self):
+        renamed = {
+            "plant_model": "plant",
+            "state_con": "state_constraints",
+            "input_con": "input_constraints",
+        }
+        keys = list(nm.ExperimentConfig.cart_pole_default().to_dict())
+        assert keys == [renamed.get(f.name, f.name) for f in dataclasses.fields(nm.ExperimentConfig)]
 
     def test_weight_shorthand(self):
         config = nm.ExperimentConfig.from_dict({"q": [1.0, 2.0, 3.0, 4.0], "r": 0.5})
@@ -157,6 +198,27 @@ class TestCli:
         cfg.write_text(json.dumps({"horizonn": 2}))
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"plant": {"type": "cart_pole", "cart_mas": 0.3}},
+            {"state_constraints": {"c_rows": [[1.0, 0, 0, 0]], "lower": [-1.0],
+                                   "upper": [1.0], "uper": [2.0]}},
+            {"plant": "cart_pole"},
+            [{"horizon": 2}],
+            {"horizon": "2"},
+        ],
+        ids=["nested_typo", "nested_extra_key", "plant_not_object", "top_level_list", "str_int"],
+    )
+    def test_malformed_config_exit_1(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["condense", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_condense_without_stabilizing_dare_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "q0.json"
