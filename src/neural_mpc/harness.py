@@ -127,6 +127,30 @@ class ExperimentConfig:
         if self.x0 is None:
             self.x0 = np.array([0.3, 0.0, 0.15, 0.0])
         self.x0 = np.asarray(self.x0, dtype=float)
+        self._check_dimensions()
+
+    def _check_dimensions(self):
+        """ValueError naming the first field whose shape does not fit the plant."""
+        n, p = self.plant_model.state_dim, self.plant_model.input_dim
+        sc, ic = self.state_con, self.input_con
+        rows = sc.c_rows.shape[0]
+        expected = [
+            ("x0", self.x0, (n,)),
+            ("q", self.q, (n, n)),
+            ("r", self.r, (p, p)),
+            ("state_con.c_rows", sc.c_rows, (rows, n)),
+            ("state_con.lower", sc.lower, (rows,)),
+            ("state_con.upper", sc.upper, (rows,)),
+            ("input_con.lower", ic.lower, (p,)),
+            ("input_con.upper", ic.upper, (p,)),
+        ]
+        if not isinstance(self.p_term, str):
+            expected.append(("p_term", self.p_term, (n, n)))
+        for name, value, shape in expected:
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
 
     @classmethod
     def cart_pole_default(cls, **overrides) -> "ExperimentConfig":
@@ -374,7 +398,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     default, nonlinear cart-pole when configured).  The report collects max
     pairwise control/state deviations, constraint-violation counts, settle
     statistics, factorization residuals, and deviation-bound checks for the
-    pruned variant.
+    pruned variant.  A pruned network whose contraction check fails still
+    runs; its report entry then has ``bound_checks`` and ``min_margin`` null.
     """
     problem, qp, data = build_problem(config)
     n_samples = int(round(config.duration / config.ts))
@@ -399,7 +424,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if "slack" in config.variants:
         shared["slack"] = augment_slack(qp, config.rho)
 
-    record_nominal = "perturbed" in config.variants and "single_layer" in config.variants
+    # The nominal trajectories only feed the deviation bound, which needs mu < 1.
+    record_nominal = (
+        "perturbed" in config.variants
+        and "single_layer" in config.variants
+        and shared["perturbation"].contracting
+    )
 
     traces: dict[str, ClosedLoopTrace] = {}
     runtimes: dict[str, float] = {}
@@ -493,7 +523,10 @@ def _build_report(config, traces, shared, runtimes, data, nominal_settle):
     if "perturbation" in shared:
         pert = shared["perturbation"]
         entry = _perturbation_entry(config, data, pert)
-        if nominal_settle and "perturbed" in traces and "single_layer" in traces:
+        if not pert.contracting and "perturbed" in traces and "single_layer" in traces:
+            # Uncertified (mu >= 1): the variant is recorded, but no bound holds.
+            entry["bound_checks"] = entry["min_margin"] = None
+        elif nominal_settle and "perturbed" in traces and "single_layer" in traces:
             checks = []
             tr1, tr2 = traces["single_layer"], traces["perturbed"]
             for j, extra in enumerate(nominal_settle):

@@ -90,6 +90,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             nm.ExperimentConfig.cart_pole_default(variants=())
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"x0": np.zeros(5)}, "x0"),
+            ({"x0": np.array([0.3, 0.0, np.inf, 0.0])}, "x0"),
+            ({"q": np.eye(3)}, "q"),
+            ({"r": np.eye(2)}, "r"),
+            ({"p_term": np.eye(4)[:, :3]}, "p_term"),
+            ({"state_con": nm.StateConstraint(np.eye(2, 3), [-1.0, -1.0], [1.0, 1.0])},
+             "state_con.c_rows"),
+            ({"state_con": nm.StateConstraint(np.eye(2, 4), [[-1.0], [-1.0]], [[1.0], [1.0]])},
+             "state_con.lower"),
+            ({"input_con": nm.InputConstraint([-1.0, -1.0], [1.0, 1.0])}, "input_con.lower"),
+        ],
+        ids=["x0_length", "x0_inf", "q", "r", "p_term", "c_rows", "state_bounds", "input_bounds"],
+    )
+    def test_dimensions_checked(self, overrides, field):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            nm.ExperimentConfig.cart_pole_default(**overrides)
+
 
 class TestRunExperiment:
     def test_equilibrium_stays_at_zero(self):
@@ -121,6 +141,27 @@ class TestRunExperiment:
             np.abs(result.traces["oracle"].u - lin.traces["oracle"].u)
         )
         assert 0.0 < du < 1.0  # small model mismatch, same qualitative behavior
+
+    def test_uncertified_pruned_variant_recorded(self, monkeypatch):
+        recorded = []
+        settle = nm.harness.settle
+
+        def counting_settle(*args, record=False, **kwargs):
+            recorded.append(record)
+            return settle(*args, record=record, **kwargs)
+
+        monkeypatch.setattr(nm.harness, "settle", counting_settle)
+        # A negative shift leaves the pruned network uncertified (mu = 1.01).
+        result = nm.run_experiment(
+            small_config(variants=("single_layer", "perturbed"), prune_shift=-0.01)
+        )
+        assert len(recorded) == 20 and not any(recorded)  # no nominal trajectories
+        entry = result.report["perturbation"]
+        assert entry["contracting"] is False and entry["mu"] >= 1.0
+        assert entry["bound_checks"] is None and entry["min_margin"] is None
+        assert [trace.u.shape for trace in result.traces.values()] == [(10, 1), (10, 1)]
+        assert "gamma_pruned" in result.graphs
+        assert json.loads(json.dumps(result.report))["perturbation"]["min_margin"] is None
 
     def test_gamma_graph_always_present(self):
         result = nm.run_experiment(small_config())
@@ -218,6 +259,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [({"x0": [0.3, 0, 0.15]}, "x0"), ({"x0": None}, "x0"), ({"q": [1.0]}, "q")],
+        ids=["x0_short", "x0_null", "q_1x1"],
+    )
+    def test_config_dimensions_exit_1(self, tmp_path, capsys, doc, field):
+        cfg = tmp_path / "dims.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} ")
         assert "Traceback" not in captured.err
 
     def test_condense_without_stabilizing_dare_exit_1(self, tmp_path, capsys):
