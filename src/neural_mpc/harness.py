@@ -102,11 +102,12 @@ class ExperimentConfig:
     settle_tol: float = 1e-8
     warm_start: bool = True
     nonlinear_plant: bool = False
-    seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.ts < np.inf:
+            raise ValueError(f"ts must be positive and finite, got {self.ts}")
+        if not 0.5 < self.duration / self.ts < np.inf:  # round(duration / ts) >= 1
+            raise ValueError(f"duration must span one sample (ts = {self.ts}), got {self.duration}")
         if not self.variants:
             raise ValueError("at least one controller variant is required")
         for v in self.variants:
@@ -253,7 +254,6 @@ class ClosedLoopTrace:
     x: np.ndarray
     u: np.ndarray
     settled: np.ndarray
-    lam_norm: np.ndarray
     violation: np.ndarray
 
 
@@ -286,87 +286,65 @@ def build_problem(config: ExperimentConfig) -> tuple[MpcProblem, CondensedQp, Ne
     return problem, qp, build_network(qp)
 
 
-class _OracleController:
-    def __init__(self, qp: CondensedQp):
-        self.qp = qp
-        self.last_u = np.zeros(qp.upsilon_rows)
-
-    def compute(self, x, record=False):
-        try:
-            sol = solve_qp(self.qp, x)
-        except InfeasibleProblem:
-            log.info("oracle: infeasible sample, holding previous input")
-            return self.last_u, False, float("nan"), None
-        u = sol.u[: self.qp.upsilon_rows]
-        self.last_u = u
-        return u, True, float(np.linalg.norm(sol.lam)), None
-
-
-class _SingleLayerController:
-    def __init__(self, data: NetworkData, config: ExperimentConfig, eps0: float):
-        self.net = FiringRateNetwork(data=data, eta=config.eta, eps0=eps0)
-        self.tol = config.settle_tol
-        self.budget = config.ts
-        self.warm = config.warm_start
-
-    def compute(self, x, record=False):
-        if not self.warm:
-            self.net.reset()
-        if record:
-            lam, settled, times, traj = settle(
-                self.net, x, tol=self.tol, max_time=self.budget, record=True
-            )
-            extra = (times, traj)
-        else:
-            lam, settled = settle(self.net, x, tol=self.tol, max_time=self.budget)
-            extra = None
-        u = extract_control(self.net, lam, x)
-        return u, settled, float(np.linalg.norm(lam)), extra
-
-
-class _MultilayerController:
-    def __init__(self, net: MultilayerNetwork, aux: NetworkData, config: ExperimentConfig):
-        self.net = net
-        self.aux = aux
-        self.tol = config.settle_tol
-        self.budget = config.ts
-        self.warm = config.warm_start
-
-    def compute(self, x, record=False):
-        if not self.warm:
-            self.net.reset()
-        state, settled = settle_multilayer(
-            self.net, self.aux, x, tol=self.tol, max_time=self.budget
-        )
-        u = extract_control_multilayer(self.net, self.aux, x)
-        return u, settled, float(np.linalg.norm(state)), None
-
-
-def _make_controller(variant, config, qp, data, shared):
+def _controller(variant, config, qp, data, factors, pert, slack, nominal):
+    """Control law ``x -> (u, settled)`` of one variant; ``single_layer`` appends
+    each sample's settle trajectory to ``nominal`` unless it is None.  The laws
+    call the networks through this module's names, which the benchmark patches.
+    """
     if variant == "oracle":
-        return _OracleController(qp)
-    if variant == "single_layer":
-        return _SingleLayerController(data, config, eps0=0.0)
-    if variant == "single_layer_eps":
-        return _SingleLayerController(data, config, eps0=config.eps0)
+        held = np.zeros(qp.upsilon_rows)
+
+        def oracle(x):
+            nonlocal held
+            try:
+                sol = solve_qp(qp, x)
+            except InfeasibleProblem:
+                log.info("oracle: infeasible sample, holding previous input")
+                return held, False
+            held = sol.u[: qp.upsilon_rows]
+            return held, True
+
+        return oracle
+
+    tol, budget, warm = config.settle_tol, config.ts, config.warm_start
     if variant in ("multilayer_exact", "multilayer_approx"):
-        key = "exact" if variant == "multilayer_exact" else "approx"
-        factors = shared["factorization"][key]
+        fac = factors[variant.removeprefix("multilayer_")]
         net = MultilayerNetwork(
-            omega1=factors["omega1"],
-            omega2=factors["omega2"],
-            psi=factors["psi"],
+            omega1=fac["omega1"],
+            omega2=fac["omega2"],
+            psi=fac["psi"],
             eta=config.eta,
-            residual=factors["residual"],
+            residual=fac["residual"],
         )
-        return _MultilayerController(net, data, config)
+
+        def multilayer(x):
+            if not warm:
+                net.reset()
+            _, settled = settle_multilayer(net, data, x, tol=tol, max_time=budget)
+            return extract_control_multilayer(net, data, x), settled
+
+        return multilayer
+
     if variant == "perturbed":
-        pdata = replace(data, gamma=data.gamma + shared["perturbation"].delta)
-        return _SingleLayerController(pdata, config, eps0=0.0)
-    if variant == "slack":
-        sdata, _ = shared["slack"]
-        return _SingleLayerController(sdata, config, eps0=0.0)
-    raise ValueError(f"unknown variant {variant!r}")
+        data = replace(data, gamma=data.gamma + pert.delta)
+    elif variant == "slack":
+        data = slack[0]
+    net = FiringRateNetwork(
+        data=data, eta=config.eta, eps0=config.eps0 if variant == "single_layer_eps" else 0.0
+    )
+    record = nominal is not None and variant == "single_layer"
+
+    def single_layer(x):
+        if not warm:
+            net.reset()
+        if record:
+            lam, settled, _, traj = settle(net, x, tol=tol, max_time=budget, record=True)
+            nominal.append(traj)
+        else:
+            lam, settled = settle(net, x, tol=tol, max_time=budget)
+        return extract_control(net, lam, x), settled
+
+    return single_layer
 
 
 def _factorize(data: NetworkData, s_omega: int, s_psi: int, k_bar: int = 100_000):
@@ -401,91 +379,76 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     pruned variant.  A pruned network whose contraction check fails still
     runs; its report entry then has ``bound_checks`` and ``min_margin`` null.
     """
-    problem, qp, data = build_problem(config)
+    _, qp, data = build_problem(config)
     n_samples = int(round(config.duration / config.ts))
-    model = config.plant_model
-    params = model.cart_pole_params
-    if config.nonlinear_plant and params is None:
+    if config.nonlinear_plant and config.plant_model.cart_pole_params is None:
         raise ValueError("nonlinear plant requested but no cart-pole parameters present")
 
-    shared: dict = {}
-    if "multilayer_exact" in config.variants:
-        shared.setdefault("factorization", {})["exact"] = _factorize(
-            data, config.s_omega, config.s_psi
+    factors = {
+        key: _factorize(data, s_omega, s_psi)
+        for key, s_omega, s_psi in (
+            ("exact", config.s_omega, config.s_psi),
+            ("approx", config.s_omega_approx, config.s_psi_approx),
         )
-    if "multilayer_approx" in config.variants:
-        shared.setdefault("factorization", {})["approx"] = _factorize(
-            data, config.s_omega_approx, config.s_psi_approx
-        )
+        if f"multilayer_{key}" in config.variants
+    }
+    pert = slack = None
     if "perturbed" in config.variants:
-        shared["perturbation"] = prune_edges(
-            data.gamma, config.prune_threshold, config.prune_shift
-        )
+        pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
     if "slack" in config.variants:
-        shared["slack"] = augment_slack(qp, config.rho)
-
+        slack = augment_slack(qp, config.rho)
     # The nominal trajectories only feed the deviation bound, which needs mu < 1.
-    record_nominal = (
-        "perturbed" in config.variants
-        and "single_layer" in config.variants
-        and shared["perturbation"].contracting
-    )
+    bound_due = pert is not None and pert.contracting and "single_layer" in config.variants
+    nominal = [] if bound_due else None
 
     traces: dict[str, ClosedLoopTrace] = {}
     runtimes: dict[str, float] = {}
-    nominal_settle: list = []
     for variant in config.variants:
-        controller = _make_controller(variant, config, qp, data, shared)
-        record = record_nominal and variant == "single_layer"
+        law = _controller(variant, config, qp, data, factors, pert, slack, nominal)
         tic = time.perf_counter()
-        trace = _run_loop(controller, config, n_samples, record, nominal_settle)
+        traces[variant] = _run_loop(law, config, n_samples)
         runtimes[variant] = time.perf_counter() - tic
-        traces[variant] = trace
         log.info("variant %s finished in %.2f s", variant, runtimes[variant])
 
-    report = _build_report(config, traces, shared, runtimes, data, nominal_settle)
-    graphs = _build_graphs(data, shared)
+    report = _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
+    graphs = {"gamma": extract_graph(data.gamma, labels=data.node_labels)}
+    if "exact" in factors:
+        graphs["omega1"] = extract_graph(factors["exact"]["omega1"])
+        graphs["psi"] = extract_graph(factors["exact"]["psi"])
+    if pert is not None:
+        graphs["gamma_pruned"] = extract_graph(data.gamma + pert.delta, labels=data.node_labels)
+    if slack is not None:
+        graphs["gamma_slack"] = extract_graph(slack[0].gamma, labels=slack[0].node_labels)
     return ExperimentResult(traces=traces, report=report, graphs=graphs)
 
 
-def _run_loop(controller, config, n_samples, record, nominal_settle):
+def _run_loop(law, config, n_samples) -> ClosedLoopTrace:
     model = config.plant_model
     x = config.x0.copy()
-    n = model.state_dim
-    p = model.input_dim
     ts = config.ts
-    t_arr = np.zeros(n_samples)
-    x_arr = np.zeros((n_samples, n))
-    u_arr = np.zeros((n_samples, p))
+    x_arr = np.zeros((n_samples, model.state_dim))
+    u_arr = np.zeros((n_samples, model.input_dim))
     settled_arr = np.zeros(n_samples, dtype=bool)
-    lam_arr = np.zeros(n_samples)
     viol_arr = np.zeros(n_samples)
     sc = config.state_con
     for j in range(n_samples):
-        u, settled, lam_norm, extra = controller.compute(x, record=record)
-        if record:
-            nominal_settle.append(extra)
-        t_arr[j] = j * ts
+        u_arr[j], settled_arr[j] = law(x)
         x_arr[j] = x
-        u_arr[j] = u
-        settled_arr[j] = settled
-        lam_arr[j] = lam_norm
         out = sc.c_rows @ x
         viol_arr[j] = max(
             0.0, float(np.max(np.maximum(out - sc.upper, sc.lower - out)))
         )
         if config.nonlinear_plant:
-            x = propagate_nonlinear_cartpole(model.cart_pole_params, x, u, ts)
+            x = propagate_nonlinear_cartpole(model.cart_pole_params, x, u_arr[j], ts)
         else:
-            x = propagate_linear(model, x, u, ts)
+            x = propagate_linear(model, x, u_arr[j], ts)
         if not np.isfinite(x).all():
             raise FloatingPointError("closed-loop state diverged to non-finite values")
-    return ClosedLoopTrace(
-        t=t_arr, x=x_arr, u=u_arr, settled=settled_arr, lam_norm=lam_arr, violation=viol_arr
-    )
+    t_arr = np.arange(n_samples) * ts
+    return ClosedLoopTrace(t=t_arr, x=x_arr, u=u_arr, settled=settled_arr, violation=viol_arr)
 
 
-def _build_report(config, traces, shared, runtimes, data, nominal_settle):
+def _build_report(config, traces, runtimes, data, factors, pert, slack, nominal):
     report: dict = {
         "config": config.to_dict(),
         "samples": int(round(config.duration / config.ts)),
@@ -510,27 +473,25 @@ def _build_report(config, traces, shared, runtimes, data, nominal_settle):
         }
         report["settled_fraction"][name] = float(np.mean(tr.settled))
 
-    if "factorization" in shared:
+    if factors:
         report["factorization"] = {
             key: {
                 **_factorization_entry(fac),
                 "nnz_omega": int(np.count_nonzero(np.vstack([fac["omega1"], fac["omega2"]]))),
                 "nnz_psi": int(np.count_nonzero(fac["psi"])),
             }
-            for key, fac in shared["factorization"].items()
+            for key, fac in factors.items()
         }
 
-    if "perturbation" in shared:
-        pert = shared["perturbation"]
+    if pert is not None:
         entry = _perturbation_entry(config, data, pert)
-        if not pert.contracting and "perturbed" in traces and "single_layer" in traces:
+        if not pert.contracting and "single_layer" in traces:
             # Uncertified (mu >= 1): the variant is recorded, but no bound holds.
             entry["bound_checks"] = entry["min_margin"] = None
-        elif nominal_settle and "perturbed" in traces and "single_layer" in traces:
+        elif nominal:
             checks = []
             tr1, tr2 = traces["single_layer"], traces["perturbed"]
-            for j, extra in enumerate(nominal_settle):
-                _, traj = extra
+            for j, traj in enumerate(nominal):
                 bound = control_deviation_bound(
                     data, pert.delta, tr1.x[j], tr2.x[j], traj, pert.mu
                 )
@@ -547,8 +508,8 @@ def _build_report(config, traces, shared, runtimes, data, nominal_settle):
             entry["min_margin"] = min(c["margin"] for c in checks)
         report["perturbation"] = entry
 
-    if "slack" in shared:
-        _, meta = shared["slack"]
+    if slack is not None:
+        _, meta = slack
         report["slack"] = {"rho": meta.rho, "m": meta.m, "m_s": meta.m_s}
     return report
 
@@ -568,22 +529,6 @@ def _perturbation_entry(config: ExperimentConfig, data: NetworkData, pert) -> di
         "nnz_before": int(np.count_nonzero(data.gamma)),
         "nnz_after": int(np.count_nonzero(data.gamma + pert.delta)),
     }
-
-
-def _build_graphs(data, shared) -> dict[str, NetworkGraph]:
-    graphs = {"gamma": extract_graph(data.gamma, labels=data.node_labels)}
-    fac = shared.get("factorization", {}).get("exact")
-    if fac is not None:
-        graphs["omega1"] = extract_graph(fac["omega1"])
-        graphs["psi"] = extract_graph(fac["psi"])
-    if "perturbation" in shared:
-        graphs["gamma_pruned"] = extract_graph(
-            data.gamma + shared["perturbation"].delta, labels=data.node_labels
-        )
-    if "slack" in shared:
-        sdata, _ = shared["slack"]
-        graphs["gamma_slack"] = extract_graph(sdata.gamma, labels=sdata.node_labels)
-    return graphs
 
 
 def write_trace_csv(trace: ClosedLoopTrace, path: str | Path) -> None:
@@ -616,10 +561,11 @@ def _write_or_print(text: str, out: str | None):
         Path(out).write_text(text)
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig.cart_pole_default()
-    return ExperimentConfig.from_json(path)
+def _load_config(path: str | None, **flags) -> ExperimentConfig:
+    config = (
+        ExperimentConfig.cart_pole_default() if path is None else ExperimentConfig.from_json(path)
+    )
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_matrix(path: str) -> tuple[np.ndarray, list[str] | None]:
@@ -633,7 +579,8 @@ def _load_matrix(path: str) -> tuple[np.ndarray, list[str] | None]:
                 doc = doc[key]
                 break
         else:
-            if "network" in doc:
+            if "network" in doc:  # a ``condense`` document: the QP's rows name the nodes
+                labels = doc.get("row_labels")
                 doc = doc["network"]["gamma"]
             else:
                 raise ValueError(f"no matrix found in {path}")
@@ -660,21 +607,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, s_omega=args.s_omega, s_psi=args.s_psi)
     _, _, data = build_problem(config)
-    fac = _factorize(data, args.s_omega, args.s_psi)
-    doc = {"s_omega": args.s_omega, "s_psi": args.s_psi, **_factorization_entry(fac)}
+    fac = _factorize(data, config.s_omega, config.s_psi)
+    doc = {"s_omega": config.s_omega, "s_psi": config.s_psi, **_factorization_entry(fac)}
     doc.update((key, fac[key].tolist()) for key in ("omega1", "omega2", "psi"))
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_perturb(args) -> int:
-    config = _load_config(args.config)
-    if args.threshold is not None:
-        config.prune_threshold = args.threshold
-    if args.shift is not None:
-        config.prune_shift = args.shift
+    config = _load_config(args.config, prune_threshold=args.threshold, prune_shift=args.shift)
     _, _, data = build_problem(config)
     pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
     doc = {**_perturbation_entry(config, data, pert), "delta": pert.delta.tolist()}
@@ -731,8 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="factorize the network with nonzero budgets")
     p.add_argument("--config", help="experiment config JSON (default: built-in benchmark)")
-    p.add_argument("--s-omega", type=int, default=144, dest="s_omega")
-    p.add_argument("--s-psi", type=int, default=144, dest="s_psi")
+    p.add_argument("--s-omega", type=int, help="omega budget (default: the config's s_omega)")
+    p.add_argument("--s-psi", type=int, help="psi budget (default: the config's s_psi)")
     p.add_argument("--out", default="-", help="output path (default stdout)")
     p.set_defaults(func=_cmd_factorize)
 

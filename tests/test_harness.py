@@ -110,6 +110,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must"):
             nm.ExperimentConfig.cart_pole_default(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"duration": 0.01}, "duration"),  # rounds to 0 samples at ts = 0.02
+            ({"duration": -1.0}, "duration"),
+            ({"duration": np.inf}, "duration"),
+            ({"ts": 0.0}, "ts"),
+            ({"ts": np.nan}, "ts"),
+        ],
+        ids=["half_sample", "negative", "infinite", "ts_zero", "ts_nan"],
+    )
+    def test_sample_count_checked(self, overrides, field):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            nm.ExperimentConfig.cart_pole_default(**overrides)
+
+    def test_one_sample_accepted(self):
+        config = nm.ExperimentConfig.cart_pole_default(duration=0.011)  # rounds to 1 sample
+        assert len(nm.run_experiment(config).traces["oracle"].t) == 1
+
 
 class TestRunExperiment:
     def test_equilibrium_stays_at_zero(self):
@@ -162,6 +181,25 @@ class TestRunExperiment:
         assert [trace.u.shape for trace in result.traces.values()] == [(10, 1), (10, 1)]
         assert "gamma_pruned" in result.graphs
         assert json.loads(json.dumps(result.report))["perturbation"]["min_margin"] is None
+
+    def test_cold_start_each_sample(self, cart_pole_setup):
+        config = small_config(warm_start=False, variants=("single_layer", "multilayer_exact"))
+        result = nm.run_experiment(config)
+        _, _, _, data = cart_pole_setup
+        fac = nm.harness._factorize(data, config.s_omega, config.s_psi)
+        single = nm.FiringRateNetwork(data=data, eta=config.eta)
+        multi = nm.MultilayerNetwork(
+            omega1=fac["omega1"], omega2=fac["omega2"], psi=fac["psi"], eta=config.eta
+        )
+        budget = dict(tol=config.settle_tol, max_time=config.ts)
+        for x, u in zip(result.traces["single_layer"].x, result.traces["single_layer"].u):
+            single.reset()
+            lam, _ = nm.settle(single, x, **budget)
+            assert np.array_equal(u, nm.extract_control(single, lam, x))
+        for x, u in zip(result.traces["multilayer_exact"].x, result.traces["multilayer_exact"].u):
+            multi.reset()
+            nm.settle_multilayer(multi, data, x, **budget)
+            assert np.array_equal(u, nm.extract_control_multilayer(multi, data, x))
 
     def test_gamma_graph_always_present(self):
         result = nm.run_experiment(small_config())
@@ -218,6 +256,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1 -> 0" in out
 
+    def test_analyze_condense_document_keeps_labels(self, tmp_path, capsys, cart_pole_setup):
+        qp_doc = tmp_path / "qp.json"
+        assert cli_main(["condense", "--out", str(qp_doc)]) == 0
+        assert cli_main(["analyze", "--matrix", str(qp_doc)]) == 0
+        graph = json.loads(capsys.readouterr().out)
+        _, _, qp, _ = cart_pole_setup
+        assert [node["label"] for node in graph["nodes"]] == qp.row_labels
+
     def test_analyze_missing_file_exit_1(self, capsys):
         assert cli_main(["analyze", "--matrix", "/nonexistent.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -233,6 +279,22 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["residual"] < 1e-8
         assert len(doc["omega1"]) == 12
+
+    def test_factorize_budgets_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "budgets.json"
+        cfg.write_text(json.dumps({"s_omega": 40, "s_psi": 40}))
+        assert cli_main(["factorize", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["s_omega"], doc["s_psi"]) == (40, 40)
+        assert np.count_nonzero(doc["psi"]) <= 40
+
+    def test_duration_under_one_sample_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"duration": 0.005}))
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: duration")
+        assert "Traceback" not in captured.err
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -299,7 +361,8 @@ class TestCli:
 
     def test_condense_overflowing_ts_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "ts.json"
-        cfg.write_text(json.dumps({**self.LINEAR_1X1, "q": [1.0], "ts": 1e308}))
+        doc = {**self.LINEAR_1X1, "q": [1.0], "ts": 1e308, "duration": 1e308}  # one sample
+        cfg.write_text(json.dumps(doc))
         assert cli_main(["condense", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ZOH discretization overflows")
 
