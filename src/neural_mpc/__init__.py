@@ -38,6 +38,7 @@ from .factorizer import (
     stack_target,
 )
 from .harness import (
+    ClosedLoopDiverged,
     ClosedLoopTrace,
     ExperimentConfig,
     ExperimentResult,

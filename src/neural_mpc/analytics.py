@@ -81,7 +81,8 @@ def extract_graph(
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     n = w.shape[0]
-    mask = (np.abs(w) > threshold) & ~np.eye(n, dtype=bool)
+    mask = np.abs(w) > threshold
+    np.fill_diagonal(mask, False)
     # nonzero on the transpose lists (from, to) pairs already sorted.
     src, dst = np.nonzero(mask.T)
     return NetworkGraph(n, src, dst, w[dst, src], node_labels=list(labels or []))

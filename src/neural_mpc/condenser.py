@@ -15,6 +15,7 @@ step-major over k = 1..N, two rows per constrained output (upper then lower).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -315,26 +316,32 @@ def augment_slack(qp: CondensedQp, rho: float) -> tuple[NetworkData, SlackMeta]:
         [ gamma - rho^-1 E E'    -rho^-1 E      ]
         [ -rho^-1 E'             (1 - rho^-1) I ]
 
-    and the input map and bias gain zero rows for the slack nodes.
+    where E (m x m_s) selects the state rows; the blocks are written by index
+    from ``build_network``'s gamma, never formed as products of E.  The input
+    map and bias gain zero rows for the slack nodes.  Raises ``ValueError``
+    unless rho > 0 and 1/rho is finite.
 
     Returns the augmented NetworkData together with SlackMeta describing which
     rows were relaxed.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (rho > 0 and math.isfinite(1.0 / rho)):
+        raise ValueError(f"rho must be positive, with 1/rho finite, got {rho}")
+    inv_rho = 1.0 / rho
     base = build_network(qp)
     m = qp.m
     m_s = m - qp.input_row_count
     state_rows = np.arange(qp.input_row_count, m)
-    e_sel = np.zeros((m, m_s))
-    e_sel[state_rows, np.arange(m_s)] = 1.0
+    slack_rows = np.arange(m, m + m_s)
 
-    inv_rho = 1.0 / rho
-    gamma_aug = np.zeros((m + m_s, m + m_s))
-    gamma_aug[:m, :m] = base.gamma - inv_rho * (e_sel @ e_sel.T)
-    gamma_aug[:m, m:] = -inv_rho * e_sel
-    gamma_aug[m:, :m] = -inv_rho * e_sel.T
-    gamma_aug[m:, m:] = (1.0 - inv_rho) * np.eye(m_s)
+    # The block template written entry by entry: the zeros off E's support are
+    # the products -rho^-1 * 0 and (1 - rho^-1) * 0, signs included.
+    gamma_aug = np.empty((m + m_s, m + m_s))
+    gamma_aug[:m, :m] = base.gamma
+    gamma_aug[:m, m:] = gamma_aug[m:, :m] = -inv_rho * 0.0
+    gamma_aug[m:, m:] = (1.0 - inv_rho) * 0.0
+    gamma_aug[state_rows, state_rows] -= inv_rho
+    gamma_aug[state_rows, slack_rows] = gamma_aug[slack_rows, state_rows] = -inv_rho
+    gamma_aug[slack_rows, slack_rows] = 1.0 - inv_rho
 
     slack_labels = [f"slack[{i}]" for i in range(m_s)]
     p = qp.upsilon_rows

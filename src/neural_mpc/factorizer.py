@@ -62,11 +62,16 @@ def hard_threshold(mat: np.ndarray, s: int) -> np.ndarray:
     if s < 0:
         raise ValueError("s must be nonnegative")
     mat = np.asarray(mat, dtype=float)
+    out = _hard_threshold(mat, s)
+    return mat.copy() if out is mat else out
+
+
+def _hard_threshold(mat: np.ndarray, s: int) -> np.ndarray:
+    """``hard_threshold`` of a float array for s >= 0; returns ``mat`` itself if s >= its size."""
     if s >= mat.size:
-        return mat.copy()
-    flat = mat.ravel(order="C")
-    order = np.argsort(-np.abs(flat), kind="stable")
-    keep = order[:s]
+        return mat
+    flat = mat.ravel()
+    keep = (-np.abs(flat)).argsort(kind="stable")[:s]
     out = np.zeros(mat.size)
     out[keep] = flat[keep]
     return out.reshape(mat.shape)
@@ -82,12 +87,6 @@ def factorization_residual(theta: np.ndarray, omega: np.ndarray, psi: np.ndarray
     if omega.shape[1] != psi.shape[0]:
         raise ValueError("omega columns must match psi rows")
     return float(np.linalg.norm(theta - omega @ psi, "fro"))
-
-
-def _frobenius(mat: np.ndarray) -> float:
-    """||mat||_F as np.linalg.norm(mat, "fro") computes it, without its wrapper."""
-    flat = mat.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
 
 
 def palm_factorize(
@@ -132,21 +131,25 @@ def palm_factorize(
         raise ValueError("initial factor shapes inconsistent with problem")
 
     floor = 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
+    beta1, beta2, s_omega, s_psi = prob.beta1, prob.beta2, prob.s_omega, prob.s_psi
     history = []
     prev = None
-    r = omega @ psi - theta  # carried from each stop test into the next omega gradient
+    # Products are ndarray.dot, the BLAS call of ``@`` at less dispatch cost,
+    # and each Frobenius norm is sqrt(f . f) over the raveled array, as
+    # np.linalg.norm(., "fro") computes it, so every sweep rounds as written.
+    r = omega.dot(psi) - theta  # carried from each stop test into the next omega gradient
     for _ in range(prob.k_bar):
-        denom = max(_frobenius(psi @ psi.T), 1e-12)
-        omega = hard_threshold(
-            omega - (1.0 / (prob.beta1 * denom)) * r @ psi.T, prob.s_omega
+        flat = psi.dot(psi.T).ravel("K")
+        denom = max(math.sqrt(flat.dot(flat)), 1e-12)
+        omega = _hard_threshold(omega - ((1.0 / (beta1 * denom)) * r).dot(psi.T), s_omega)
+        flat = omega.T.dot(omega).ravel("K")
+        denom = max(math.sqrt(flat.dot(flat)), 1e-12)
+        psi = _hard_threshold(
+            psi - ((1.0 / (beta2 * denom)) * omega.T).dot(omega.dot(psi) - theta), s_psi
         )
-        denom = max(_frobenius(omega.T @ omega), 1e-12)
-        psi = hard_threshold(
-            psi - (1.0 / (prob.beta2 * denom)) * omega.T @ (omega @ psi - theta),
-            prob.s_psi,
-        )
-        r = omega @ psi - theta
-        res = _frobenius(r)
+        r = omega.dot(psi) - theta
+        flat = r.ravel("K")
+        res = math.sqrt(flat.dot(flat))
         if not math.isfinite(res):
             raise FloatingPointError("PALM iterates diverged (non-finite residual)")
         history.append(res)

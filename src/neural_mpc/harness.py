@@ -264,6 +264,17 @@ class ExperimentResult:
     graphs: dict[str, NetworkGraph]
 
 
+class ClosedLoopDiverged(FloatingPointError):
+    """A variant's closed loop turned non-finite.  ``result`` is the run as far
+    as it got: every trace up to its divergence and the report, whose
+    ``diverged`` maps each such variant to the time of that sample."""
+
+    def __init__(self, result: ExperimentResult):
+        self.result = result
+        where = ", ".join(f"{v} at t = {t:g} s" for v, t in result.report["diverged"].items())
+        super().__init__(f"closed loop diverged: {where}")
+
+
 def build_problem(config: ExperimentConfig) -> tuple[MpcProblem, CondensedQp, NetworkData]:
     """Discretize the plant, resolve the terminal weight, condense, build weights."""
     dplant = discretize_zoh(config.plant_model, config.ts)
@@ -286,7 +297,7 @@ def build_problem(config: ExperimentConfig) -> tuple[MpcProblem, CondensedQp, Ne
     return problem, qp, build_network(qp)
 
 
-def _controller(variant, config, qp, data, factors, pert, slack, nominal):
+def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal):
     """Control law ``x -> (u, settled)`` of one variant; ``single_layer`` appends
     each sample's settle trajectory to ``nominal`` unless it is None.  The laws
     call the networks through this module's names, which the benchmark patches.
@@ -326,7 +337,7 @@ def _controller(variant, config, qp, data, factors, pert, slack, nominal):
         return multilayer
 
     if variant == "perturbed":
-        data = replace(data, gamma=data.gamma + pert.delta)
+        data = replace(data, gamma=gamma_pruned)
     elif variant == "slack":
         data = slack[0]
     net = FiringRateNetwork(
@@ -378,6 +389,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     statistics, factorization residuals, and deviation-bound checks for the
     pruned variant.  A pruned network whose contraction check fails still
     runs; its report entry then has ``bound_checks`` and ``min_margin`` null.
+    A variant whose control or state turns non-finite stops there and the
+    others still run; then ``ClosedLoopDiverged`` is raised, carrying the
+    result: that variant's trace keeps the samples before, the report's
+    ``diverged`` maps it to that sample's time, and pairwise deviations cover
+    the samples both traces hold.
     """
     _, qp, data = build_problem(config)
     n_samples = int(round(config.duration / config.ts))
@@ -392,9 +408,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         if f"multilayer_{key}" in config.variants
     }
-    pert = slack = None
+    pert = gamma_pruned = slack = None
     if "perturbed" in config.variants:
         pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
+        gamma_pruned = data.gamma + pert.delta
     if "slack" in config.variants:
         slack = augment_slack(qp, config.rho)
     # The nominal trajectories only feed the deviation bound, which needs mu < 1.
@@ -403,26 +420,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     traces: dict[str, ClosedLoopTrace] = {}
     runtimes: dict[str, float] = {}
+    diverged: dict[str, float] = {}
     for variant in config.variants:
-        law = _controller(variant, config, qp, data, factors, pert, slack, nominal)
+        law = _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal)
         tic = time.perf_counter()
-        traces[variant] = _run_loop(law, config, n_samples)
+        traces[variant], t_diverged = _run_loop(law, config, n_samples)
         runtimes[variant] = time.perf_counter() - tic
+        if t_diverged is not None:
+            diverged[variant] = t_diverged
+            log.info("variant %s diverged at t = %.4g s", variant, t_diverged)
         log.info("variant %s finished in %.2f s", variant, runtimes[variant])
 
     report = _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
+    if diverged:
+        report["diverged"] = diverged
     graphs = {"gamma": extract_graph(data.gamma, labels=data.node_labels)}
     if "exact" in factors:
         graphs["omega1"] = extract_graph(factors["exact"]["omega1"])
         graphs["psi"] = extract_graph(factors["exact"]["psi"])
     if pert is not None:
-        graphs["gamma_pruned"] = extract_graph(data.gamma + pert.delta, labels=data.node_labels)
+        graphs["gamma_pruned"] = extract_graph(gamma_pruned, labels=data.node_labels)
     if slack is not None:
         graphs["gamma_slack"] = extract_graph(slack[0].gamma, labels=slack[0].node_labels)
-    return ExperimentResult(traces=traces, report=report, graphs=graphs)
+    result = ExperimentResult(traces=traces, report=report, graphs=graphs)
+    if diverged:
+        raise ClosedLoopDiverged(result)
+    return result
 
 
-def _run_loop(law, config, n_samples) -> ClosedLoopTrace:
+@np.errstate(all="ignore")
+def _run_loop(law, config, n_samples) -> tuple[ClosedLoopTrace, float | None]:
+    """The closed loop of one law, and the time of its first sample whose state
+    or control is not finite (None if there is none); the trace stops before
+    that sample.  Overflow on the way there is expected, so numpy is silenced.
+    """
     model = config.plant_model
     x = config.x0.copy()
     ts = config.ts
@@ -431,8 +462,16 @@ def _run_loop(law, config, n_samples) -> ClosedLoopTrace:
     settled_arr = np.zeros(n_samples, dtype=bool)
     viol_arr = np.zeros(n_samples)
     sc = config.state_con
+    n_run, t_diverged = n_samples, None
     for j in range(n_samples):
-        u_arr[j], settled_arr[j] = law(x)
+        finite = np.isfinite(x).all()
+        if finite:
+            u, settled = law(x)
+            finite = np.isfinite(u).all()
+        if not finite:
+            n_run, t_diverged = j, j * ts
+            break
+        u_arr[j], settled_arr[j] = u, settled
         x_arr[j] = x
         out = sc.c_rows @ x
         viol_arr[j] = max(
@@ -442,10 +481,15 @@ def _run_loop(law, config, n_samples) -> ClosedLoopTrace:
             x = propagate_nonlinear_cartpole(model.cart_pole_params, x, u_arr[j], ts)
         else:
             x = propagate_linear(model, x, u_arr[j], ts)
-        if not np.isfinite(x).all():
-            raise FloatingPointError("closed-loop state diverged to non-finite values")
-    t_arr = np.arange(n_samples) * ts
-    return ClosedLoopTrace(t=t_arr, x=x_arr, u=u_arr, settled=settled_arr, violation=viol_arr)
+    t_arr = np.arange(n_run) * ts
+    trace = ClosedLoopTrace(
+        t=t_arr,
+        x=x_arr[:n_run],
+        u=u_arr[:n_run],
+        settled=settled_arr[:n_run],
+        violation=viol_arr[:n_run],
+    )
+    return trace, t_diverged
 
 
 def _build_report(config, traces, runtimes, data, factors, pert, slack, nominal):
@@ -460,18 +504,16 @@ def _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
     names = list(traces)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            du = float(np.max(np.abs(traces[a].u - traces[b].u)))
-            dx = float(np.max(np.abs(traces[a].x - traces[b].x)))
             report["pairwise"][f"{a}|{b}"] = {
-                "max_control_deviation": du,
-                "max_state_deviation": dx,
+                "max_control_deviation": _max_deviation(traces[a].u, traces[b].u),
+                "max_state_deviation": _max_deviation(traces[a].x, traces[b].x),
             }
     for name, tr in traces.items():
         report["constraint_violations"][name] = {
             "count": int(np.sum(tr.violation > 1e-6)),
-            "max_margin": float(np.max(tr.violation)),
+            "max_margin": float(np.max(tr.violation, initial=0.0)),
         }
-        report["settled_fraction"][name] = float(np.mean(tr.settled))
+        report["settled_fraction"][name] = float(np.mean(tr.settled)) if len(tr.t) else 0.0
 
     if factors:
         report["factorization"] = {
@@ -491,7 +533,7 @@ def _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
         elif nominal:
             checks = []
             tr1, tr2 = traces["single_layer"], traces["perturbed"]
-            for j, traj in enumerate(nominal):
+            for j, traj in enumerate(nominal[: min(len(tr1.t), len(tr2.t))]):
                 bound = control_deviation_bound(
                     data, pert.delta, tr1.x[j], tr2.x[j], traj, pert.mu
                 )
@@ -505,13 +547,19 @@ def _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
                     }
                 )
             entry["bound_checks"] = checks
-            entry["min_margin"] = min(c["margin"] for c in checks)
+            entry["min_margin"] = min((c["margin"] for c in checks), default=None)
         report["perturbation"] = entry
 
     if slack is not None:
         _, meta = slack
         report["slack"] = {"rho": meta.rho, "m": meta.m, "m_s": meta.m_s}
     return report
+
+
+def _max_deviation(p: np.ndarray, q: np.ndarray) -> float | None:
+    """max |p - q| over the leading rows both hold; None if either has none."""
+    k = min(len(p), len(q))
+    return float(np.max(np.abs(p[:k] - q[:k]))) if k else None
 
 
 def _factorization_entry(fac: dict) -> dict:
@@ -596,7 +644,10 @@ def _cmd_condense(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except ClosedLoopDiverged as exc:  # recorded in the report, not a failure here
+        result = exc.result
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, trace in result.traces.items():
@@ -720,7 +771,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, np.linalg.LinAlgError, InfeasibleProblem) as exc:
+    except (
+        ValueError,
+        OSError,
+        KeyError,
+        np.linalg.LinAlgError,
+        InfeasibleProblem,
+        ClosedLoopDiverged,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         log.debug("traceback", exc_info=True)
         return 1

@@ -53,15 +53,17 @@ def prune_edges(gamma: np.ndarray, threshold: float, diag_shift: float) -> Pertu
 
     Returns delta = (pruned gamma - gamma) - diag_shift * I together with the
     contraction check of the perturbed matrix (carried in the result, never
-    raised).
+    raised).  Raises ``ValueError`` for a negative threshold or a diag_shift
+    that is not finite.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
+    if not math.isfinite(diag_shift):
+        raise ValueError(f"diag_shift must be finite, got {diag_shift}")
     gamma = np.asarray(gamma, dtype=float)
-    pruned = gamma.copy()
-    off = ~np.eye(gamma.shape[0], dtype=bool)
-    pruned[off & (np.abs(gamma) < threshold)] = 0.0
-    pruned -= diag_shift * np.eye(gamma.shape[0])
+    pruned = np.where(np.abs(gamma) < threshold, 0.0, gamma)
+    diag = np.diag_indices(gamma.shape[0])
+    pruned[diag] = gamma[diag] - diag_shift
     delta = pruned - gamma
     contracting, mu = check_contraction(gamma + delta)
     return Perturbation(delta=delta, mu=mu, contracting=contracting)
@@ -166,14 +168,12 @@ def redesign_sparse(gamma: np.ndarray, gamma_tol: float, tau: float) -> Perturba
     gamma = np.asarray(gamma, dtype=float)
     if np.linalg.norm(gamma - gamma.T, "fro") > 1e-8 * max(1.0, np.linalg.norm(gamma, "fro")):
         raise ValueError("redesign_sparse expects a symmetric matrix")
-    m = gamma.shape[0]
-    w = gamma.copy()
-    off = ~np.eye(m, dtype=bool)
-    w[off] = np.sign(w[off]) * np.maximum(np.abs(w[off]) - tau, 0.0)
+    w = np.sign(gamma) * np.maximum(np.abs(gamma) - tau, 0.0)
+    np.fill_diagonal(w, gamma.diagonal())
     w = 0.5 * (w + w.T)
     alpha_sym = float(np.max(np.linalg.eigvalsh(w)))
     shift = max(alpha_sym - 1.0 + 1e-6, 0.0)
-    w -= shift * np.eye(m)
+    w[np.diag_indices(gamma.shape[0])] -= shift
     delta = w - gamma
     norm = float(np.linalg.norm(delta, 2))
     if norm > gamma_tol:

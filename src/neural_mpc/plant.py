@@ -176,20 +176,25 @@ _SDA_MAX_DOUBLINGS = 64
 
 
 def _sda(a: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Structure-preserving doubling from A = a, G = b r^-1 b', H = q; returns H."""
+    """Structure-preserving doubling from A = a, G = b r^-1 b', H = q; returns H.
+
+    Products are ndarray.dot, the BLAS call of ``@`` at less dispatch cost;
+    max|H_new| is finite exactly when every entry of H_new is.
+    """
     n = a.shape[0]
     eye = np.eye(n)
     stop = 64 * np.finfo(float).eps
     with np.errstate(all="ignore"):
         for _ in range(_SDA_MAX_DOUBLINGS):
-            sol = np.linalg.solve(eye + g @ h, np.hstack([a, g]))
+            sol = np.linalg.solve(eye + g.dot(h), np.concatenate((a, g), axis=1))
             winv_a, winv_g = sol[:, :n], sol[:, n:]
-            h_next = h + a.T @ h @ winv_a
-            g = g + a @ winv_g @ a.T
-            a = a @ winv_a
-            if not np.isfinite(h_next).all():
+            h_next = h + a.T.dot(h).dot(winv_a)
+            g = g + a.dot(winv_g).dot(a.T)
+            a = a.dot(winv_a)
+            scale = np.abs(h_next).max()
+            if not math.isfinite(scale):
                 raise np.linalg.LinAlgError("DARE doubling iterate is not finite")
-            if np.abs(h_next - h).max() <= stop * np.abs(h_next).max():
+            if np.abs(h_next - h).max() <= stop * scale:
                 return h_next
             h = h_next
     raise np.linalg.LinAlgError(f"DARE doubling did not converge in {_SDA_MAX_DOUBLINGS} steps")

@@ -100,8 +100,7 @@ def test_criterion_2_lqr_recovery(cart_pole_setup):
     )
 
 
-def test_criterion_3_kkt_residuals(cart_pole_setup):
-    config, _, qp, data = cart_pole_setup
+def _criterion_3(config, qp, data):
     net = nm.FiringRateNetwork(data=data, eta=config.eta)
     x = config.x0.copy()
     worst_feas, worst_lam, worst_comp = 0.0, 0.0, 0.0
@@ -126,11 +125,23 @@ def test_criterion_3_kkt_residuals(cart_pole_setup):
         and worst_comp <= 1e-6
     )
     _report(
-        "criterion 3 (KKT residuals)",
+        f"criterion 3 (KKT residuals, N = {config.horizon})",
         ok,
         f"{settled_count}/300 settled; worst primal={worst_feas:.2e} (<=1e-6), "
         f"worst -lam={worst_lam:.2e} (<=1e-12), worst compl={worst_comp:.2e} (<=1e-6)",
     )
+
+
+def test_criterion_3_kkt_residuals(cart_pole_setup):
+    config, _, qp, data = cart_pole_setup
+    _criterion_3(config, qp, data)
+
+
+@pytest.mark.parametrize("horizon", [10, 20])
+def test_criterion_3_kkt_residuals_long_horizon(horizon):
+    config = nm.ExperimentConfig.cart_pole_default(horizon=horizon)
+    _, qp, data = nm.build_problem(config)
+    _criterion_3(config, qp, data)
 
 
 def test_criterion_4_minimal_norm_dual():

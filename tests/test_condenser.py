@@ -257,6 +257,23 @@ class TestOneFactor:
             nm.solve_qp(bad, np.zeros(4))
 
 
+def slack_gamma_reference(gamma, input_row_count, rho):
+    """The slack block formula as first written, from products of the selector E."""
+    m = gamma.shape[0]
+    m_s = m - input_row_count
+    state_rows = np.arange(input_row_count, m)
+    e_sel = np.zeros((m, m_s))
+    e_sel[state_rows, np.arange(m_s)] = 1.0
+
+    inv_rho = 1.0 / rho
+    gamma_aug = np.zeros((m + m_s, m + m_s))
+    gamma_aug[:m, :m] = gamma - inv_rho * (e_sel @ e_sel.T)
+    gamma_aug[:m, m:] = -inv_rho * e_sel
+    gamma_aug[m:, :m] = -inv_rho * e_sel.T
+    gamma_aug[m:, m:] = (1.0 - inv_rho) * np.eye(m_s)
+    return gamma_aug
+
+
 class TestAugmentSlack:
     def test_block_template_exact(self, cart_pole_setup):
         _, _, qp, data = cart_pole_setup
@@ -295,6 +312,23 @@ class TestAugmentSlack:
         _, _, qp, _ = cart_pole_setup
         with pytest.raises(ValueError):
             nm.augment_slack(qp, 0.0)
+
+    @pytest.mark.parametrize("rho", [np.nan, -1.0, 1e-320])
+    def test_rho_with_no_finite_inverse_rejected(self, cart_pole_setup, rho):
+        _, _, qp, _ = cart_pole_setup
+        with pytest.raises(ValueError, match="rho must be positive"):
+            nm.augment_slack(qp, rho)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 40])
+    @pytest.mark.parametrize("rho", [1e4, 1.0, 0.5, 1e300, np.inf])
+    def test_matches_block_formula_bitwise(self, horizon, rho):
+        # rho < 1 makes the zeros of (1 - 1/rho) I negative; -1/rho E leaves
+        # -0.0 off its support for every rho.
+        _, qp, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
+        got = nm.augment_slack(qp, rho)[0].gamma
+        want = slack_gamma_reference(data.gamma, qp.input_row_count, rho)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRelaxationAndDuality:

@@ -112,6 +112,41 @@ class TestPalmFactorize:
             nm.FactorizationProblem(theta=np.full((2, 2), np.nan), s_omega=1, s_psi=1)
 
 
+def hard_threshold_reference(mat, s):
+    """hard_threshold as first written, kept as the oracle of the package's core."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    mat = np.asarray(mat, dtype=float)
+    if s >= mat.size:
+        return mat.copy()
+    flat = mat.ravel(order="C")
+    order = np.argsort(-np.abs(flat), kind="stable")
+    keep = order[:s]
+    out = np.zeros(mat.size)
+    out[keep] = flat[keep]
+    return out.reshape(mat.shape)
+
+
+class TestHardThresholdOracle:
+    @pytest.mark.parametrize("s", [0, 1, 7, 29, 30, 31, 100])
+    def test_matches_reference(self, s):
+        rng = np.random.default_rng(s)
+        # Rounded draws give ties; signed zeros and a transposed (F-ordered)
+        # view exercise the scan order and the sign of what is kept.
+        mat = np.round(rng.normal(size=(6, 5)), 1)
+        mat[0, 0], mat[2, 3] = -0.0, 0.0
+        for arg in (mat, mat.T, mat.tolist()):
+            got, want = nm.hard_threshold(arg, s), hard_threshold_reference(arg, s)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_full_budget_returns_a_copy(self):
+        mat = np.ones((2, 3))
+        out = nm.hard_threshold(mat, 6)
+        out[0, 0] = 5.0
+        assert mat[0, 0] == 1.0
+
+
 def palm_sweeps_reference(prob, omega, psi):
     """The PALM sweep loop as first written, kept as the bitwise oracle."""
     theta = prob.theta
@@ -120,12 +155,12 @@ def palm_sweeps_reference(prob, omega, psi):
     prev = None
     for _ in range(prob.k_bar):
         denom = max(np.linalg.norm(psi @ psi.T, "fro"), 1e-12)
-        omega = nm.hard_threshold(
+        omega = hard_threshold_reference(
             omega - (1.0 / (prob.beta1 * denom)) * (omega @ psi - theta) @ psi.T,
             prob.s_omega,
         )
         denom = max(np.linalg.norm(omega.T @ omega, "fro"), 1e-12)
-        psi = nm.hard_threshold(
+        psi = hard_threshold_reference(
             psi - (1.0 / (prob.beta2 * denom)) * omega.T @ (omega @ psi - theta),
             prob.s_psi,
         )
@@ -170,6 +205,18 @@ class TestPalmBitwiseOracle:
             assert np.array_equal(g, w)
         if k_bar == 5:
             assert len(got[2]) == k_bar
+
+    def test_identity_budget_at_n40(self):
+        # omega0 = [I; -u_dual_map gamma^-1] has 2m = 480 nonzeros and
+        # psi0 = gamma has m^2 = 57 600, so psi is never thresholded.
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=40))
+        theta = nm.stack_target(data.gamma, data.u_dual_map)
+        prob = nm.FactorizationProblem(theta=theta, s_omega=480, s_psi=57_600)
+        omega0, psi0 = nm.identity_layer_init(data.gamma, data.u_dual_map)
+        got = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        want = palm_sweeps_reference(prob, omega0.copy(), psi0.copy())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestSplitFactors:

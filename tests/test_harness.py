@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import neural_mpc as nm
 from neural_mpc.harness import cli_main
+
+
+# The pruned network with shift -5 (mu = 6) blows up in closed loop: its
+# control is no longer finite at sample 8 (t = 0.16 s), where |x| ~ 1.8e289.
+DIVERGING = dict(variants=("single_layer", "perturbed"), prune_shift=-5.0, duration=2.0)
 
 
 def small_config(**overrides):
@@ -151,6 +157,7 @@ class TestRunExperiment:
         result = nm.run_experiment(config)
         shapes = {v.u.shape for v in result.traces.values()}
         assert len(shapes) == 1
+        assert "diverged" not in result.report  # every variant finished
 
     def test_nonlinear_plant_flag(self):
         config = small_config(nonlinear_plant=True)
@@ -181,6 +188,64 @@ class TestRunExperiment:
         assert [trace.u.shape for trace in result.traces.values()] == [(10, 1), (10, 1)]
         assert "gamma_pruned" in result.graphs
         assert json.loads(json.dumps(result.report))["perturbation"]["min_margin"] is None
+
+    def test_diverging_variant_recorded(self):
+        config = nm.ExperimentConfig.cart_pole_default(**DIVERGING)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning escapes
+            with pytest.raises(nm.ClosedLoopDiverged, match=r"perturbed at t = 0\.16 s") as info:
+                nm.run_experiment(config)
+        # The other variants ran on: the call's result rides on the exception.
+        result = info.value.result
+        report = json.loads(json.dumps(result.report, allow_nan=False))
+        assert report["diverged"] == {"perturbed": 0.16}
+        assert report["samples"] == 100
+        single, pert = result.traces["single_layer"], result.traces["perturbed"]
+        assert len(single.t) == 100 and len(pert.t) == 8
+        assert np.array_equal(pert.t, single.t[:8])
+        for trace in (single, pert):
+            assert np.isfinite(trace.x).all() and np.isfinite(trace.u).all()
+            assert len(trace.x) == len(trace.u) == len(trace.settled) == len(trace.violation)
+        alone = nm.run_experiment(dataclasses.replace(config, variants=("single_layer",)))
+        assert np.array_equal(single.x, alone.traces["single_layer"].x)
+        assert np.array_equal(single.u, alone.traces["single_layer"].u)
+        pair = report["pairwise"]["single_layer|perturbed"]
+        assert pair["max_control_deviation"] == np.max(np.abs(single.u[:8] - pert.u))
+        assert pair["max_state_deviation"] == np.max(np.abs(single.x[:8] - pert.x))
+        assert report["constraint_violations"]["perturbed"]["max_margin"] == pert.violation.max()
+        assert report["settled_fraction"]["perturbed"] == np.mean(pert.settled)
+        assert report["perturbation"]["bound_checks"] is None
+
+    def test_variants_diverging_at_the_first_sample(self, monkeypatch):
+        def not_finite(*args):
+            return np.array([np.nan])
+
+        monkeypatch.setattr(nm.harness, "extract_control", not_finite)
+        config = small_config(variants=("oracle", "single_layer", "perturbed"))
+        # A caller that needs every sample, such as a benchmark counting
+        # actions, sees the call fail even where no sample was taken at all.
+        with pytest.raises(nm.ClosedLoopDiverged) as info:
+            nm.run_experiment(config)
+        result = info.value.result
+        report = json.loads(json.dumps(result.report, allow_nan=False))
+        assert report["diverged"] == {"single_layer": 0.0, "perturbed": 0.0}
+        assert [len(tr.t) for tr in result.traces.values()] == [10, 0, 0]
+        assert result.traces["perturbed"].x.shape == (0, 4)
+        assert report["pairwise"]["oracle|single_layer"]["max_control_deviation"] is None
+        assert report["pairwise"]["single_layer|perturbed"]["max_state_deviation"] is None
+        assert report["constraint_violations"]["perturbed"] == {"count": 0, "max_margin": 0.0}
+        assert report["settled_fraction"]["single_layer"] == 0.0
+        entry = report["perturbation"]
+        assert entry["contracting"] and entry["bound_checks"] == []
+        assert entry["min_margin"] is None
+
+    def test_state_overflow_stops_the_loop(self):
+        # The plant overflows within the first hold, so the state at sample 1
+        # is not finite: the trace keeps sample 0.
+        config = small_config()
+        trace, t_diverged = nm.harness._run_loop(lambda x: (np.array([1e308]), True), config, 10)
+        assert t_diverged == config.ts
+        assert len(trace.t) == 1 and np.array_equal(trace.x[0], config.x0)
 
     def test_cold_start_each_sample(self, cart_pole_setup):
         config = small_config(warm_start=False, variants=("single_layer", "multilayer_exact"))
@@ -247,6 +312,17 @@ class TestCli:
         assert (out / "single_layer.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert "oracle|single_layer" in report["pairwise"]
+        capsys.readouterr()
+
+    def test_simulate_diverging_variant_exit_0(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(DIVERGING))
+        out = tmp_path / "traces"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["diverged"] == {"perturbed": 0.16}
+        assert len((out / "perturbed.csv").read_text().splitlines()) == 1 + 8
+        assert len((out / "single_layer.csv").read_text().splitlines()) == 1 + 100
         capsys.readouterr()
 
     def test_analyze_dot_on_stdout(self, tmp_path, capsys):

@@ -18,6 +18,55 @@ def pruned(cart_pole_setup):
     return data, pert, pdata
 
 
+def prune_edges_reference(gamma, threshold, diag_shift):
+    """prune_edges as first written, with a dense off-diagonal mask and shift * I."""
+    gamma = np.asarray(gamma, dtype=float)
+    pruned = gamma.copy()
+    off = ~np.eye(gamma.shape[0], dtype=bool)
+    pruned[off & (np.abs(gamma) < threshold)] = 0.0
+    pruned -= diag_shift * np.eye(gamma.shape[0])
+    delta = pruned - gamma
+    contracting, mu = nm.check_contraction(gamma + delta)
+    return nm.Perturbation(delta=delta, mu=mu, contracting=contracting)
+
+
+def redesign_sparse_reference(gamma, gamma_tol, tau):
+    """redesign_sparse as first written, with a dense off-diagonal mask and shift * I."""
+    gamma = np.asarray(gamma, dtype=float)
+    m = gamma.shape[0]
+    w = gamma.copy()
+    off = ~np.eye(m, dtype=bool)
+    w[off] = np.sign(w[off]) * np.maximum(np.abs(w[off]) - tau, 0.0)
+    w = 0.5 * (w + w.T)
+    alpha_sym = float(np.max(np.linalg.eigvalsh(w)))
+    shift = max(alpha_sym - 1.0 + 1e-6, 0.0)
+    w -= shift * np.eye(m)
+    delta = w - gamma
+    norm = float(np.linalg.norm(delta, 2))
+    if norm > gamma_tol:
+        delta = delta * (gamma_tol / norm) if gamma_tol > 0 else np.zeros_like(delta)
+    contracting, mu = nm.check_contraction(gamma + delta)
+    return nm.Perturbation(delta=delta, mu=mu, contracting=contracting, gamma_tol=gamma_tol)
+
+
+def signed_zero_matrix():
+    """A symmetric matrix with -0.0 and +0.0 on and off its diagonal."""
+    rng = np.random.default_rng(12)
+    w = np.round(rng.normal(scale=0.02, size=(6, 6)), 2)
+    w = w + w.T
+    w[0, 0] = w[1, 2] = w[2, 1] = -0.0
+    w[3, 3] = w[4, 5] = w[5, 4] = 0.0
+    return w
+
+
+def assert_same_perturbation(got, want, gamma):
+    assert np.array_equal(got.delta, want.delta)
+    assert np.array_equal(np.signbit(got.delta), np.signbit(want.delta))
+    pruned_got, pruned_want = gamma + got.delta, gamma + want.delta
+    assert np.array_equal(np.signbit(pruned_got), np.signbit(pruned_want))
+    assert (got.mu, got.contracting) == (want.mu, want.contracting)
+
+
 class TestCheckContraction:
     def test_zero_matrix(self):
         contracting, mu = nm.check_contraction(np.zeros((3, 3)))
@@ -64,6 +113,29 @@ class TestPruneEdges:
         _, _, _, data = cart_pole_setup
         with pytest.raises(ValueError):
             nm.prune_edges(data.gamma, -1.0, 0.0)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, cart_pole_setup, shift):
+        _, _, _, data = cart_pole_setup
+        with pytest.raises(ValueError, match="diag_shift must be finite"):
+            nm.prune_edges(data.gamma, 0.01, shift)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 40])
+    @pytest.mark.parametrize(
+        "threshold, shift", [(0.01, 1e-4), (0.0, 0.0), (0.01, -5.0), (1.0, -0.01), (0.0, -1e-4)]
+    )
+    def test_matches_former_implementation(self, horizon, threshold, shift):
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
+        got = nm.prune_edges(data.gamma, threshold, shift)
+        want = prune_edges_reference(data.gamma, threshold, shift)
+        assert_same_perturbation(got, want, data.gamma)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.01, np.inf])
+    @pytest.mark.parametrize("shift", [0.5, 0.0, -0.0, -0.5])
+    def test_signed_zeros_match_former_implementation(self, threshold, shift):
+        w = signed_zero_matrix()
+        got = nm.prune_edges(w, threshold, shift)
+        assert_same_perturbation(got, prune_edges_reference(w, threshold, shift), w)
 
 
 class TestOneSidedLipschitz:
@@ -249,3 +321,17 @@ class TestRedesignSparse:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
             nm.redesign_sparse(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 0.1)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 40])
+    @pytest.mark.parametrize("tau, tol", [(0.0, 0.5), (0.01, 1.0), (0.5, 0.02), (2.0, 5.0)])
+    def test_matches_former_implementation(self, horizon, tau, tol):
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
+        got = nm.redesign_sparse(data.gamma, tol, tau)
+        want = redesign_sparse_reference(data.gamma, tol, tau)
+        assert_same_perturbation(got, want, data.gamma)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.01, 0.1])
+    def test_signed_zeros_match_former_implementation(self, tau):
+        w = signed_zero_matrix()
+        got = nm.redesign_sparse(w, 10.0, tau)
+        assert_same_perturbation(got, redesign_sparse_reference(w, 10.0, tau), w)

@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm, solve_discrete_are
 
 import neural_mpc as nm
-from neural_mpc.plant import _dare_subspace, _expm
+from neural_mpc import plant
+from neural_mpc.plant import _dare_subspace, _expm, _sda
 
 
 def taylor_expm(mat, terms=20):
@@ -145,6 +146,81 @@ class TestSolveDareDoubling:
         # H doubles every step and never meets the stop test.
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             nm.solve_dare(np.eye(1), np.zeros((1, 1)), np.eye(1), np.eye(1))
+
+
+def sda_reference(a, g, h):
+    """The doubling loop as first written, kept as the bitwise oracle of _sda."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    stop = 64 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            sol = np.linalg.solve(eye + g @ h, np.hstack([a, g]))
+            winv_a, winv_g = sol[:, :n], sol[:, n:]
+            h_next = h + a.T @ h @ winv_a
+            g = g + a @ winv_g @ a.T
+            a = a @ winv_a
+            if not np.isfinite(h_next).all():
+                raise np.linalg.LinAlgError("DARE doubling iterate is not finite")
+            if np.abs(h_next - h).max() <= stop * np.abs(h_next).max():
+                return h_next
+            h = h_next
+    raise np.linalg.LinAlgError("DARE doubling did not converge in 64 steps")
+
+
+def sda_outcome(sda, a, g, h):
+    """The returned iterate, or the type and message of the error raised."""
+    try:
+        return sda(a, g, h)
+    except np.linalg.LinAlgError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSdaBitwiseOracle:
+    def assert_same(self, a, g, h):
+        got, want = sda_outcome(_sda, a, g, h), sda_outcome(sda_reference, a, g, h)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_cart_pole(self, cart_pole_setup):
+        config, problem, _, _ = cart_pole_setup
+        b, r = problem.plant.b, config.r
+        self.assert_same(problem.plant.a, b @ np.linalg.solve(r, b.T), config.q)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_systems(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            a, b, q, r = random_stabilizable(rng, n)
+            self.assert_same(a, b @ np.linalg.solve(r, b.T), q)
+
+    @pytest.mark.parametrize(
+        "a, g, h",
+        [
+            ([[1.0]], [[0.0]], [[1.0]]),  # H doubles every step: the cap
+            # H = 2^959 reaches 2^1023 at the cap; from 2^960 it overflows on
+            # the last doubling, so these two pin the cap at 64 doublings.
+            ([[1.0]], [[0.0]], [[2.0**959]]),
+            ([[1.0]], [[0.0]], [[2.0**960]]),
+            ([[1e200]], [[0.0]], [[1.0]]),  # H overflows
+            ([[1.0]], [[0.0]], [[np.nan]]),
+            ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ],
+    )
+    def test_raising_and_degenerate_inputs(self, a, g, h):
+        self.assert_same(np.array(a), np.array(g), np.array(h))
+
+    def test_solve_dare_paths(self, monkeypatch):
+        # solve_dare runs _sda for the doubling and for the subspace path's
+        # Newton step; both answers stay bit for bit.
+        rng = np.random.default_rng(7)
+        cases = [random_stabilizable(rng, 4), random_undetectable(rng, 3)]
+        got = [nm.solve_dare(*case) for case in cases]
+        monkeypatch.setattr(plant, "_sda", sda_reference)
+        for p, case in zip(got, cases):
+            assert np.array_equal(p, nm.solve_dare(*case))
 
 
 def random_undetectable(rng, n):
