@@ -55,6 +55,7 @@ from .network import (
     relu,
     settle,
     settle_multilayer,
+    step_limits,
     step_multilayer,
     step_single_layer,
 )

@@ -170,6 +170,15 @@ class NetworkData:
     def size(self) -> int:
         return self.gamma.shape[0]
 
+    @cached_property
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of the symmetric gamma.
+
+        One ``eigvalsh`` on first use, then kept, so gamma must not change
+        after that; it sets the networks' Euler step (``network.step_limits``).
+        """
+        return float(np.linalg.eigvalsh(self.gamma)[0])
+
 
 @dataclass
 class SlackMeta:

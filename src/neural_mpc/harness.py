@@ -49,6 +49,7 @@ from .network import (
     extract_control_multilayer,
     settle,
     settle_multilayer,
+    step_limits,
 )
 from .perturber import control_deviation_bound, prune_edges
 from .plant import (
@@ -298,9 +299,10 @@ def build_problem(config: ExperimentConfig) -> tuple[MpcProblem, CondensedQp, Ne
 
 
 def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal):
-    """Control law ``x -> (u, settled)`` of one variant; ``single_layer`` appends
-    each sample's settle trajectory to ``nominal`` unless it is None.  The laws
-    call the networks through this module's names, which the benchmark patches.
+    """Control law ``x -> (u, settled)`` of one variant and its network's Euler
+    step dt/eta (None for the oracle); ``single_layer`` appends each sample's
+    settle trajectory to ``nominal`` unless it is None.  The laws call the
+    networks through this module's names, which the benchmark patches.
     """
     if variant == "oracle":
         held = np.zeros(qp.upsilon_rows)
@@ -315,7 +317,7 @@ def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal
             held = sol.u[: qp.upsilon_rows]
             return held, True
 
-        return oracle
+        return oracle, None
 
     tol, budget, warm = config.settle_tol, config.ts, config.warm_start
     if variant in ("multilayer_exact", "multilayer_approx"):
@@ -334,7 +336,7 @@ def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal
             _, settled = settle_multilayer(net, data, x, tol=tol, max_time=budget)
             return extract_control_multilayer(net, data, x), settled
 
-        return multilayer
+        return multilayer, step_limits(net, data)[1]
 
     if variant == "perturbed":
         data = replace(data, gamma=gamma_pruned)
@@ -355,7 +357,7 @@ def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal
             lam, settled = settle(net, x, tol=tol, max_time=budget)
         return extract_control(net, lam, x), settled
 
-    return single_layer
+    return single_layer, step_limits(net)[1]
 
 
 def _factorize(data: NetworkData, s_omega: int, s_psi: int, k_bar: int = 100_000):
@@ -386,8 +388,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     holds it for one sample period, and the plant propagates (linear model by
     default, nonlinear cart-pole when configured).  The report collects max
     pairwise control/state deviations, constraint-violation counts, settle
-    statistics, factorization residuals, and deviation-bound checks for the
-    pruned variant.  A pruned network whose contraction check fails still
+    statistics, factorization residuals, deviation-bound checks for the
+    pruned variant, and each network variant's Euler step dt/eta
+    (``euler_step``).  A pruned network whose contraction check fails still
     runs; its report entry then has ``bound_checks`` and ``min_margin`` null.
     A variant whose control or state turns non-finite stops there and the
     others still run; then ``ClosedLoopDiverged`` is raised, carrying the
@@ -421,8 +424,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     traces: dict[str, ClosedLoopTrace] = {}
     runtimes: dict[str, float] = {}
     diverged: dict[str, float] = {}
+    euler_step: dict[str, float] = {}
     for variant in config.variants:
-        law = _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal)
+        law, step = _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal)
+        if step is not None:
+            euler_step[variant] = step
         tic = time.perf_counter()
         traces[variant], t_diverged = _run_loop(law, config, n_samples)
         runtimes[variant] = time.perf_counter() - tic
@@ -432,6 +438,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         log.info("variant %s finished in %.2f s", variant, runtimes[variant])
 
     report = _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
+    report["euler_step"] = euler_step
     if diverged:
         report["diverged"] = diverged
     graphs = {"gamma": extract_graph(data.gamma, labels=data.node_labels)}

@@ -18,9 +18,18 @@ state may be negative, so no orthant invariance is claimed for it.
 One forward-Euler kernel, ``_euler``, runs both forms: ``settle`` and
 ``settle_multilayer`` loop it until quiescent, ``step_single_layer`` and
 ``step_multilayer`` take one step, and all four form the input drive
-m_map @ x0 + bias once and require 0 < dt/eta <= 0.5.  A network has settled
-when ||rate||_inf <= tol; the squared norm rate . rate decides that alone
-unless it lies between tol^2 and len(rate) tol^2.
+m_map @ x0 + bias once.  A network has settled when ||rate||_inf <= tol; the
+squared norm rate . rate decides that alone unless it lies between tol^2 and
+len(rate) tol^2.
+
+The Euler step comes from the spectrum of gamma (``step_limits``).  Over every
+activation pattern the Jacobian's eigenvalues are -1 (inactive units) and
+-1 + eig(gamma_AA - eps) (active ones), which Cauchy interlacing puts at real
+part >= -(1 + eps0 - lambda_min(gamma)); a multilayer network adds the disc of
+radius e = ||omega1 psi - gamma||_F (Bauer-Fike).  With a = max(1, 1 + e -
+lambda_min), every entry point requires 0 < dt/eta < 2/a, and settling defaults
+to dt/eta = 2/(a + 1), which contracts the fastest mode and the decay of
+inactive units by the same factor (a - 1)/(a + 1).
 """
 
 from __future__ import annotations
@@ -37,20 +46,46 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _step_ratio(dt: float, eta: float) -> float:
-    """Euler step per time constant, dt/eta; it must lie in (0, 0.5]."""
+def _step_ratio(dt: float, eta: float, h_max: float) -> float:
+    """Euler step per time constant, dt/eta; it must lie in (0, h_max)."""
     step = dt / eta
-    if not 0.0 < step <= 0.5:
-        raise ValueError(f"step size must satisfy 0 < dt/eta <= 0.5, got dt/eta = {step}")
+    if not 0.0 < step < h_max:
+        raise ValueError(
+            f"step size must satisfy 0 < dt/eta < {h_max!r}, the Euler stability "
+            f"limit 2/max(1, 1 + e - lambda_min(gamma)); got dt/eta = {step}"
+        )
     return step
 
 
-def _budget(eta: float, tol: float, max_time: float, dt: float | None):
-    """Validated (dt, dt/eta, step count) of a settle call; dt defaults to eta/20."""
+def _budget(eta: float, tol: float, max_time: float, dt: float | None, limits):
+    """Validated (dt, dt/eta, step count) of a settle call; dt defaults to
+    eta times the network's default step ``limits[1]``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dt = eta / 20.0 if dt is None else dt
-    return dt, _step_ratio(dt, eta), max(1, int(round(max_time / dt)))
+    h_max, h = limits
+    dt = h * eta if dt is None else dt
+    return dt, _step_ratio(dt, eta, h_max), max(1, int(round(max_time / dt)))
+
+
+def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
+    """Euler steps per time constant of a network: (limit, default) = (2/a, 2/(a + 1)).
+
+    a = max(1, 1 + e - lambda_min(gamma)) bounds the decay rate of the
+    Jacobian's fastest mode over every activation pattern, with e = eps0 for a
+    ``FiringRateNetwork`` and e = ||omega1 psi - aux.gamma||_F for a
+    ``MultilayerNetwork`` (``aux`` is the NetworkData it integrates against;
+    e is kept for the last aux).  A step must lie below the limit; the default
+    contracts the fastest mode and the decay of inactive units alike, by
+    (a - 1)/(a + 1).
+    """
+    if isinstance(net, FiringRateNetwork):
+        lambda_min, e = net.data.lambda_min, net.eps0
+    else:
+        if net._step_cache is None or net._step_cache[0] is not aux:
+            net._step_cache = (aux, float(np.linalg.norm(net.omega1.dot(net.psi) - aux.gamma)))
+        lambda_min, e = aux.lambda_min, net._step_cache[1]
+    a = max(1.0, 1.0 + e - lambda_min)
+    return 2.0 / a, 2.0 / (a + 1.0)
 
 
 def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
@@ -90,6 +125,9 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
 @dataclass
 class FiringRateNetwork:
     """Single-layer firing-rate network with mutable state ``lam``.
+
+    Its Euler step limits come from ``data.lambda_min`` and ``eps0``
+    (``step_limits``).
 
     Parameters
     ----------
@@ -135,11 +173,11 @@ def step_single_layer(
 ) -> np.ndarray:
     """One forward-Euler step of the single-layer dynamics; returns updated lam.
 
-    Requires dt <= eta/2 for stability of the explicit scheme.  With lam >= 0
-    and dt <= eta the update is a convex combination of lam and a nonnegative
-    term, so the nonnegative orthant is forward invariant.
+    Requires dt/eta below the network's stability limit (``step_limits``).
+    With lam >= 0 and dt <= eta the update is a convex combination of lam and
+    a nonnegative term, so the nonnegative orthant is forward invariant.
     """
-    step = _step_ratio(dt, net.eta)
+    step = _step_ratio(dt, net.eta, step_limits(net)[0])
     eps = (lambda k: net.epsilon(t)) if net.eps0 else None
     bias_in = _bias_in(net.data, x0)
     # tol = 0 skips the update only when the rate is exactly zero, a no-op.
@@ -161,12 +199,15 @@ def settle(
     time constant, ||-lam + relu(drive)||_inf; with a vanishing regularizer the
     equilibrium drifts, so the flag may stay False even near convergence.
 
+    ``dt`` defaults to eta times the network's default step (``step_limits``),
+    so max_time buys max_time / dt steps.
+
     Returns
     -------
     (lam, settled) or (lam, settled, times, traj) when ``record`` is True;
     ``times`` are in seconds and ``traj`` has one row of lam per step.
     """
-    dt, step, n_steps = _budget(net.eta, tol, max_time, dt)
+    dt, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net))
     eps = (lambda k: net.epsilon(k * dt)) if net.eps0 else None
     lam, settled, traj = _euler(
         net.data.gamma, None, net.lam, _bias_in(net.data, x0), step, n_steps, tol, eps, record
@@ -189,7 +230,12 @@ def extract_control(net: FiringRateNetwork, lam: np.ndarray, x0: np.ndarray) -> 
 
 @dataclass
 class MultilayerNetwork:
-    """Two-layer realization with hidden state ``tilde_lam`` (sign-unconstrained)."""
+    """Two-layer realization with hidden state ``tilde_lam`` (sign-unconstrained).
+
+    Its Euler step limits read e = ||omega1 psi - aux.gamma||_F, computed on
+    first use with a given ``aux`` and kept (``step_limits``), so the factors
+    must not change after that.
+    """
 
     omega1: np.ndarray
     omega2: np.ndarray
@@ -197,6 +243,7 @@ class MultilayerNetwork:
     eta: float = 1e-3
     residual: float = 0.0
     tilde_lam: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _step_cache: tuple = field(default=None, init=False, repr=False, compare=False)  # (aux, e)
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -217,7 +264,7 @@ def step_multilayer(
     net: MultilayerNetwork, aux: NetworkData, x0: np.ndarray, dt: float
 ) -> np.ndarray:
     """One forward-Euler step of the multilayer dynamics; returns updated state."""
-    step = _step_ratio(dt, net.eta)
+    step = _step_ratio(dt, net.eta, step_limits(net, aux)[0])
     bias_in = _bias_in(aux, x0)
     net.tilde_lam, _, _ = _euler(net.omega1, net.psi, net.tilde_lam, bias_in, step, 1, 0.0)
     return net.tilde_lam
@@ -232,7 +279,7 @@ def settle_multilayer(
     dt: float | None = None,
 ):
     """Integrate the multilayer dynamics until quiescent; returns (state, settled)."""
-    _, step, n_steps = _budget(net.eta, tol, max_time, dt)
+    _, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net, aux))
     bias_in = _bias_in(aux, x0)
     state, settled, _ = _euler(net.omega1, net.psi, net.tilde_lam, bias_in, step, n_steps, tol)
     net.tilde_lam = state

@@ -10,7 +10,7 @@ from neural_mpc.harness import cli_main
 
 
 # The pruned network with shift -5 (mu = 6) blows up in closed loop: its
-# control is no longer finite at sample 8 (t = 0.16 s), where |x| ~ 1.8e289.
+# control is no longer finite at sample 9 (t = 0.18 s), where |x| ~ 1.2e282.
 DIVERGING = dict(variants=("single_layer", "perturbed"), prune_shift=-5.0, duration=2.0)
 
 
@@ -159,6 +159,30 @@ class TestRunExperiment:
         assert len(shapes) == 1
         assert "diverged" not in result.report  # every variant finished
 
+    def test_report_euler_step(self, benchmark_result):
+        config, result = benchmark_result
+        _, qp, data = nm.build_problem(config)
+        pert = nm.prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
+        widened = {"single_layer": (data.gamma, 0.0), "single_layer_eps": (data.gamma, config.eps0)}
+        widened["perturbed"] = (data.gamma + pert.delta, 0.0)
+        widened["slack"] = (nm.augment_slack(qp, config.rho)[0].gamma, 0.0)
+        for key, budgets in (
+            ("exact", (config.s_omega, config.s_psi)),
+            ("approx", (config.s_omega_approx, config.s_psi_approx)),
+        ):
+            fac = nm.harness._factorize(data, *budgets)
+            widened[f"multilayer_{key}"] = (
+                data.gamma, np.linalg.norm(fac["omega1"] @ fac["psi"] - data.gamma)
+            )
+        report = json.loads(json.dumps(result.report, allow_nan=False))
+        assert list(report["euler_step"]) == [v for v in config.variants if v != "oracle"]
+        for variant, (gamma, e) in widened.items():
+            a = max(1.0, 1.0 + e - np.linalg.eigvalsh(gamma)[0])
+            assert report["euler_step"][variant] == 2.0 / (a + 1.0), variant
+        assert 0.096 < report["euler_step"]["single_layer"] < 0.098
+        oracle_only = nm.run_experiment(small_config(variants=("oracle",)))
+        assert oracle_only.report["euler_step"] == {}
+
     def test_nonlinear_plant_flag(self):
         config = small_config(nonlinear_plant=True)
         result = nm.run_experiment(config)
@@ -193,16 +217,16 @@ class TestRunExperiment:
         config = nm.ExperimentConfig.cart_pole_default(**DIVERGING)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning escapes
-            with pytest.raises(nm.ClosedLoopDiverged, match=r"perturbed at t = 0\.16 s") as info:
+            with pytest.raises(nm.ClosedLoopDiverged, match=r"perturbed at t = 0\.18 s") as info:
                 nm.run_experiment(config)
         # The other variants ran on: the call's result rides on the exception.
         result = info.value.result
         report = json.loads(json.dumps(result.report, allow_nan=False))
-        assert report["diverged"] == {"perturbed": 0.16}
+        assert report["diverged"] == {"perturbed": 0.18}
         assert report["samples"] == 100
         single, pert = result.traces["single_layer"], result.traces["perturbed"]
-        assert len(single.t) == 100 and len(pert.t) == 8
-        assert np.array_equal(pert.t, single.t[:8])
+        assert len(single.t) == 100 and len(pert.t) == 9
+        assert np.array_equal(pert.t, single.t[:9])
         for trace in (single, pert):
             assert np.isfinite(trace.x).all() and np.isfinite(trace.u).all()
             assert len(trace.x) == len(trace.u) == len(trace.settled) == len(trace.violation)
@@ -210,8 +234,8 @@ class TestRunExperiment:
         assert np.array_equal(single.x, alone.traces["single_layer"].x)
         assert np.array_equal(single.u, alone.traces["single_layer"].u)
         pair = report["pairwise"]["single_layer|perturbed"]
-        assert pair["max_control_deviation"] == np.max(np.abs(single.u[:8] - pert.u))
-        assert pair["max_state_deviation"] == np.max(np.abs(single.x[:8] - pert.x))
+        assert pair["max_control_deviation"] == np.max(np.abs(single.u[:9] - pert.u))
+        assert pair["max_state_deviation"] == np.max(np.abs(single.x[:9] - pert.x))
         assert report["constraint_violations"]["perturbed"]["max_margin"] == pert.violation.max()
         assert report["settled_fraction"]["perturbed"] == np.mean(pert.settled)
         assert report["perturbation"]["bound_checks"] is None
@@ -320,8 +344,8 @@ class TestCli:
         out = tmp_path / "traces"
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["diverged"] == {"perturbed": 0.16}
-        assert len((out / "perturbed.csv").read_text().splitlines()) == 1 + 8
+        assert report["diverged"] == {"perturbed": 0.18}
+        assert len((out / "perturbed.csv").read_text().splitlines()) == 1 + 9
         assert len((out / "single_layer.csv").read_text().splitlines()) == 1 + 100
         capsys.readouterr()
 

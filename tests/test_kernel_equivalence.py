@@ -3,7 +3,9 @@
 ``settle`` and ``settle_multilayer`` must return bitwise-equal states, flags,
 times and trajectories; the one-step functions now form the input drive once,
 as ``settle`` does, so they must reproduce ``settle``'s trajectory bitwise and
-stay within rounding of their former arithmetic.
+stay within rounding of their former arithmetic.  The copied settle loops
+differ from the former ones only in their default step, which is now taken
+from the spectrum of gamma (``default_dt``, computed here on its own).
 """
 
 import numpy as np
@@ -15,7 +17,10 @@ from neural_mpc.harness import _factorize
 from conftest import duplicated_row_qp, one_dim_qp
 
 
-# --- reference loops, copied unchanged from the former network.py ----------
+# --- reference loops, copied from the former network.py --------------------
+# The two settle loops take the spectral default step and leave the step check
+# (formerly dt/eta <= 0.5, which the default step exceeds where gamma = 0) to
+# the package; tests/test_network.py covers it.  The loops are unchanged.
 
 
 def relu(v):
@@ -31,12 +36,16 @@ def old_step_single_layer(net, x0, dt, t=0.0):
     return net.lam
 
 
+def default_dt(eta, gamma, e):
+    """eta times the default Euler step 2/(a + 1), a = max(1, 1 + e - lambda_min(gamma))."""
+    a = max(1.0, 1.0 + e - np.linalg.eigvalsh(gamma)[0])
+    return eta * (2.0 / (a + 1.0))
+
+
 def old_settle(net, x0, tol=1e-8, max_time=0.02, dt=None, record=False):
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dt = net.eta / 20.0 if dt is None else dt
-    if dt / net.eta > 0.5:
-        raise ValueError("dt must satisfy dt/eta <= 0.5")
+    dt = default_dt(net.eta, net.data.gamma, net.eps0) if dt is None else dt
     d = net.data
     x0 = np.asarray(x0, dtype=float)
     bias_in = d.m_map @ x0 + d.bias
@@ -76,9 +85,8 @@ def old_step_multilayer(net, aux, x0, dt):
 def old_settle_multilayer(net, aux, x0, tol=1e-8, max_time=0.02, dt=None):
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dt = net.eta / 20.0 if dt is None else dt
-    if dt / net.eta > 0.5:
-        raise ValueError("dt must satisfy dt/eta <= 0.5")
+    if dt is None:
+        dt = default_dt(net.eta, aux.gamma, np.linalg.norm(net.omega1 @ net.psi - aux.gamma))
     x0 = np.asarray(x0, dtype=float)
     bias_in = aux.m_map @ x0 + aux.bias
     state = net.tilde_lam
@@ -225,7 +233,8 @@ class TestSettleBitwise:
 
     def test_explicit_dt_and_budget(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
-        run_single(data, states(3), warm=False, tol=1e-10, max_time=0.05, dt=2e-4, record=True)
+        # dt/eta = 0.1, below the limit 0.10198 (the default step is 0.0970)
+        run_single(data, states(3), warm=False, tol=1e-10, max_time=0.05, dt=1e-4, record=True)
 
     def test_slack_network(self, cart_pole_setup):
         config, _, qp, _ = cart_pole_setup
@@ -306,7 +315,7 @@ class TestSteps:
     def test_steps_reproduce_settle_trajectory(self, cart_pole_setup, eps0):
         _, _, _, data = cart_pole_setup
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
-        dt = 5e-5
+        dt = default_dt(1e-3, data.gamma, eps0)
         stepped, settled = single_pair(data, eps0)
         _, _, _, traj = nm.settle(settled, x0, tol=1e-300, max_time=0.01, record=True)
         for k in range(1, len(traj)):
@@ -316,11 +325,13 @@ class TestSteps:
     def test_multilayer_steps_reproduce_settle(self, cart_pole_setup, factors):
         _, _, _, data = cart_pole_setup
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
-        stepped, settled = multi_pair(factors["approx"])
+        fac = factors["approx"]
+        stepped, settled = multi_pair(fac)
+        dt = default_dt(1e-3, data.gamma, np.linalg.norm(fac["omega1"] @ fac["psi"] - data.gamma))
         for n in range(1, 40):
-            nm.step_multilayer(stepped, data, x0, 5e-5)
+            nm.step_multilayer(stepped, data, x0, dt)
             settled.reset()
-            nm.settle_multilayer(settled, data, x0, tol=1e-300, max_time=n * 5e-5)
+            nm.settle_multilayer(settled, data, x0, tol=1e-300, max_time=n * dt)
             assert_bitwise(stepped.tilde_lam, settled.tilde_lam)
 
     @pytest.mark.parametrize("eps0", [0.0, 0.1])

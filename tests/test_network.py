@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -52,7 +55,7 @@ class TestStepSingleLayer:
 
 
 class TestStepGuard:
-    """Every entry point requires 0 < dt/eta <= 0.5."""
+    """Every entry point requires 0 < dt/eta < 2/max(1, 1 + e - lambda_min(gamma))."""
 
     @pytest.mark.parametrize("dt", [0.0, -5e-5, -1e-3, 6e-4, float("nan")])
     def test_settle_rejects(self, cart_pole_setup, dt):
@@ -84,11 +87,204 @@ class TestStepGuard:
         with pytest.raises(ValueError, match="dt/eta"):
             nm.step_multilayer(multi, data, np.zeros(4), dt=dt)
 
-    def test_half_time_constant_accepted(self, cart_pole_setup):
+    @pytest.mark.parametrize("ratio", [0.3, 0.5])
+    def test_unsettling_steps_rejected(self, cart_pole_setup, ratio):
+        # The former guard accepted dt/eta <= 0.5, but at 0.3 and 0.5 the
+        # Euler map of the N = 2 cart-pole network has not settled after 200
+        # time constants; the default step settles well within them.
         _, _, _, data = cart_pole_setup
+        x0 = np.array([0.3, 0.0, 0.15, 0.0])
+        bias_in = data.m_map @ x0 + data.bias
+        lam0 = np.zeros(data.size)
+        assert not nm.network._euler(data.gamma, None, lam0, bias_in, ratio, round(200 / ratio), 1e-8)[1]
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
-        nm.settle(net, np.zeros(4), dt=5e-4)
-        nm.step_single_layer(net, np.zeros(4), dt=5e-4)
+        h_max, h = nm.step_limits(net)
+        assert nm.network._euler(data.gamma, None, lam0, bias_in, h, round(200 / h), 1e-8)[1]
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
+        )
+        dt = ratio * 1e-3
+        limit = re.escape(repr(h_max))
+        for call in (
+            lambda: nm.settle(net, x0, dt=dt),
+            lambda: nm.step_single_layer(net, x0, dt),
+            lambda: nm.settle_multilayer(multi, data, x0, dt=dt),
+            lambda: nm.step_multilayer(multi, data, x0, dt),
+        ):
+            with pytest.raises(ValueError, match=f"dt/eta < {limit}"):
+                call()
+        assert np.all(net.lam == 0.0) and np.all(multi.tilde_lam == 0.0)
+
+
+X0 = np.array([0.3, 0.0, 0.15, 0.0])
+NETWORK_KINDS = ("plain", "eps0", "slack", "pruned", "multilayer_exact", "multilayer_approx")
+
+
+@pytest.fixture(scope="module")
+def networks(cart_pole_setup):
+    """kind -> (make, gamma, e): a fresh (net, aux) pair, the gamma whose
+    spectrum sets its step, and its widening e."""
+    config, _, qp, data = cart_pole_setup
+    sdata, _ = nm.augment_slack(qp, config.rho)
+    pert = nm.prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
+    pdata = dataclasses.replace(data, gamma=data.gamma + pert.delta)
+    out = {
+        "plain": (lambda: (nm.FiringRateNetwork(data=data), None), data.gamma, 0.0),
+        "eps0": (lambda: (nm.FiringRateNetwork(data=data, eps0=0.1), None), data.gamma, 0.1),
+        "slack": (lambda: (nm.FiringRateNetwork(data=sdata), None), sdata.gamma, 0.0),
+        "pruned": (lambda: (nm.FiringRateNetwork(data=pdata), None), pdata.gamma, 0.0),
+    }
+    for key, budgets in (
+        ("exact", (config.s_omega, config.s_psi)),
+        ("approx", (config.s_omega_approx, config.s_psi_approx)),
+    ):
+        fac = harness._factorize(data, *budgets)
+        e = np.linalg.norm(fac["omega1"] @ fac["psi"] - data.gamma)
+
+        def make(fac=fac):
+            multi = nm.MultilayerNetwork(
+                omega1=fac["omega1"], omega2=fac["omega2"], psi=fac["psi"], residual=0.0
+            )
+            return multi, data
+
+        out[f"multilayer_{key}"] = (make, data.gamma, e)
+    return out
+
+
+def entry_points(net, aux):
+    """settle and one step of either network form, at an explicit dt."""
+    if aux is None:
+        return (
+            lambda dt: nm.settle(net, X0, dt=dt, max_time=20 * dt),
+            lambda dt: nm.step_single_layer(net, X0, dt),
+        )
+    return (
+        lambda dt: nm.settle_multilayer(net, aux, X0, dt=dt, max_time=20 * dt),
+        lambda dt: nm.step_multilayer(net, aux, X0, dt),
+    )
+
+
+class TestStepLimits:
+    """The step limit 2/a and default step 2/(a + 1), a = max(1, 1 + e -
+    lambda_min(gamma)), per network."""
+
+    @pytest.mark.parametrize("kind", NETWORK_KINDS)
+    def test_limit_is_the_formula_and_sharp(self, networks, kind):
+        make, gamma, e = networks[kind]
+        a = max(1.0, 1.0 + e - np.linalg.eigvalsh(gamma)[0])
+        net, aux = make()
+        assert nm.step_limits(net, aux) == (2.0 / a, 2.0 / (a + 1.0))
+        h_max = 2.0 / a
+        settle, step = entry_points(net, aux)
+        below, above = h_max * (1 - 1e-9) * 1e-3, h_max * (1 + 1e-9) * 1e-3
+        settle(below)
+        step(below)
+        for call in (settle, step):
+            with pytest.raises(ValueError, match="dt/eta <"):
+                call(above)
+
+    def test_cart_pole_figures(self, networks):
+        # lambda_min(gamma) = -18.61 at N = 2: limit 0.1020, default 0.0970
+        h_max, h = nm.step_limits(networks["plain"][0]()[0])
+        assert abs(h_max - 0.10198) < 1e-5 and abs(h - 0.09703) < 1e-5
+        assert nm.step_limits(networks["eps0"][0]()[0])[0] < h_max
+
+    def test_mismatched_factors_get_a_smaller_limit(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        plain = nm.step_limits(nm.FiringRateNetwork(data=data))
+        eye = np.eye(data.size)
+
+        def multi(omega1):
+            # residual left at its default 0: the limit reads the factors
+            return nm.MultilayerNetwork(omega1=omega1, omega2=-data.u_dual_map, psi=eye)
+
+        assert nm.step_limits(multi(data.gamma), data) == plain
+        off = 0.05 * np.random.default_rng(3).normal(size=data.gamma.shape)
+        off = off + off.T  # symmetric, so gamma + off is a valid aux below
+        e = np.linalg.norm(off)
+        a = 1.0 + e - np.linalg.eigvalsh(data.gamma)[0]
+        wrong = multi(data.gamma + off)
+        assert nm.step_limits(wrong, data) == (2.0 / a, 2.0 / (a + 1.0))
+        assert 2.0 / a < plain[0]
+        # kept per aux: against gamma + off itself e = 0, and lambda_min moves
+        # by at most ||off||_2 < e (Weyl), so the limit is larger
+        aux = dataclasses.replace(data, gamma=data.gamma + off)
+        assert nm.step_limits(wrong, aux)[0] > 2.0 / a
+        assert nm.step_limits(wrong, data) == (2.0 / a, 2.0 / (a + 1.0))
+
+    def test_inactive_decay_caps_the_step(self):
+        # gamma = 0.5 I: the active modes decay at rate 0.5, inactive units at
+        # rate 1, so a = 1 and not 0.5
+        data = nm.NetworkData(
+            gamma=0.5 * np.eye(2),
+            m_map=np.zeros((2, 1)),
+            bias=np.array([-1.0, 1.0]),
+            u_feedback=np.zeros((1, 1)),
+            u_dual_map=np.zeros((1, 2)),
+        )
+        net = nm.FiringRateNetwork(data=data)
+        assert nm.step_limits(net) == (2.0, 1.0)
+        lam, settled = nm.settle(net, np.zeros(1), max_time=0.2)
+        assert settled and np.allclose(lam, [2.0, 0.0])
+
+    def test_lambda_min_computed_once(self, cart_pole_setup, monkeypatch):
+        _, _, _, data = cart_pole_setup
+        fresh = dataclasses.replace(data)
+        calls = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls[0] += 1
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        net = nm.FiringRateNetwork(data=fresh)
+        for _ in range(3):
+            net.reset()
+            nm.settle(net, X0)
+        assert calls[0] == 1 and fresh.lambda_min == eigvalsh(data.gamma)[0]
+
+
+LO = np.array([-0.4, -1.0, -0.1, -1.0])
+HI = np.array([0.4, 1.0, 0.5, 1.0])
+
+
+def input_bound_states(qp, n, seed=0):
+    """n states from the cold-query box at whose optimum an input row binds
+    and no state row does, with their exact solutions."""
+    rng = np.random.default_rng(seed)
+    k = qp.input_row_count
+    out = []
+    while len(out) < n:
+        x = rng.uniform(LO, HI)
+        try:
+            sol = nm.solve_qp(qp, x)
+        except nm.InfeasibleProblem:
+            continue
+        if (sol.lam[:k] > 1e-6).any() and not (sol.lam[k:] > 1e-6).any():
+            out.append((x, sol))
+    return out
+
+
+class TestColdStart:
+    """Cold starts with the default step and a one-sample budget settle in a
+    stated number of rate evaluations (counted through ``network.relu``, as
+    the benchmark counts Euler steps).  At dt/eta = 0.05 the same states took
+    up to 95 at N = 2 and 183 at N = 40."""
+
+    @pytest.mark.parametrize("horizon, n_states, max_evals", [(2, 20, 48), (40, 6, 96)])
+    def test_settles_within_budget(self, monkeypatch, horizon, n_states, max_evals):
+        config = nm.ExperimentConfig.cart_pole_default(horizon=horizon)
+        _, qp, data = nm.build_problem(config)
+        calls = TestBenchmarkHooks.count_relu(monkeypatch)
+        net = nm.FiringRateNetwork(data=data, eta=config.eta)
+        for x, sol in input_bound_states(qp, n_states):
+            net.reset()
+            calls[0] = 0
+            lam, settled = nm.settle(net, x, tol=config.settle_tol, max_time=config.ts)
+            assert settled and calls[0] <= max_evals
+            u = nm.extract_control(net, lam, x)
+            assert np.max(np.abs(u - sol.u[: qp.upsilon_rows])) <= 1e-6
 
 
 class TestSettle:
@@ -283,7 +479,8 @@ class TestBenchmarkHooks:
         # steps taken, plus the evaluation that found the rate below tol
         assert settled and calls[0] == (len(traj) - 1) + 1
         calls[0] = 0
-        _, settled, _, traj = nm.settle(net, x0, tol=1e-300, max_time=0.005, record=True)
+        dt = 1e-3 * nm.step_limits(net)[1]
+        _, settled, _, traj = nm.settle(net, x0, tol=1e-300, max_time=100 * dt, record=True)
         assert not settled and calls[0] == len(traj) - 1 == 100
 
     def test_relu_once_per_multilayer_rate_evaluation(self, cart_pole_setup, monkeypatch):
@@ -299,7 +496,8 @@ class TestBenchmarkHooks:
         assert nm.settle_multilayer(multi, data, x0, tol=1e-8, max_time=0.2)[1]
         assert calls[0] == len(traj)
         calls[0] = 0
-        assert not nm.settle_multilayer(multi, data, x0 + 0.1, tol=1e-300, max_time=0.005)[1]
+        dt = 1e-3 * nm.step_limits(multi, data)[1]
+        assert not nm.settle_multilayer(multi, data, x0 + 0.1, tol=1e-300, max_time=100 * dt)[1]
         assert calls[0] == 100
         calls[0] = 0
         nm.step_single_layer(single, x0, 5e-5)

@@ -247,7 +247,10 @@ class TestEnvelope:
 
     def test_decay_within_envelope_near_equilibrium(self, pruned):
         # perturbation pairs around the settled operating point stay inside
-        # the envelope; see the ledger for why broad random pairs do not
+        # the envelope; see the ledger for why broad random pairs do not.
+        # The envelope bounds the continuous flow, so the pairs are integrated
+        # at dt/eta = 0.05, well below the default step (0.097), whose fast
+        # mode decays by 0.9 per step where the flow's decays by 0.15.
         _, pert, pdata = pruned
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
         ref = nm.FiringRateNetwork(data=pdata, eta=1e-3)
@@ -261,8 +264,8 @@ class TestEnvelope:
             net_b = nm.FiringRateNetwork(
                 data=pdata, eta=1e-3, lam=np.maximum(lam_star - d0, 0.0)
             )
-            _, _, ta, tra = nm.settle(net_a, x0, tol=1e-300, max_time=0.02, record=True)
-            _, _, _, trb = nm.settle(net_b, x0, tol=1e-300, max_time=0.02, record=True)
+            _, _, ta, tra = nm.settle(net_a, x0, tol=1e-300, max_time=0.02, dt=5e-5, record=True)
+            _, _, _, trb = nm.settle(net_b, x0, tol=1e-300, max_time=0.02, dt=5e-5, record=True)
             assert nm.envelope_violation(ta / 1e-3, tra, trb, pert.mu, 0.0) <= 1e-6
 
     @pytest.mark.xfail(
