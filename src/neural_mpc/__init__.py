@@ -56,8 +56,6 @@ from .network import (
     settle,
     settle_multilayer,
     step_limits,
-    step_multilayer,
-    step_single_layer,
 )
 from .perturber import (
     Perturbation,
@@ -88,7 +86,6 @@ from .qp_oracle import (
     dual_objective,
     primal_from_dual,
     solve_active_set_enumeration,
-    solve_projected_gradient,
     solve_qp,
 )
 

@@ -30,8 +30,8 @@ class FactorizationProblem:
         Step-size safety multipliers, > 1.
     k_bar : int
         Iteration cap.
-    inner_dim : int or None
-        Columns of omega (rows of psi); defaults to theta's column count.
+
+    The inner dimension (columns of omega, rows of psi) is theta's column count.
     """
 
     theta: np.ndarray
@@ -40,7 +40,6 @@ class FactorizationProblem:
     beta1: float = 1.1
     beta2: float = 1.1
     k_bar: int = 100_000
-    inner_dim: int | None = None
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -50,8 +49,6 @@ class FactorizationProblem:
             raise ValueError("sparsity budgets must be >= 1")
         if self.beta1 <= 1 or self.beta2 <= 1:
             raise ValueError("beta1 and beta2 must exceed 1")
-        if self.inner_dim is None:
-            self.inner_dim = self.theta.shape[1]
 
 
 def hard_threshold(mat: np.ndarray, s: int) -> np.ndarray:
@@ -101,8 +98,7 @@ def palm_factorize(
     update for psi.  A floor of 1e-12 on the step denominators guards against a
     collapsed factor.  By default the iteration starts at the exact identity
     factorization omega = theta, psi = I (zero residual), so sparsification
-    proceeds from an exact point; this requires inner_dim equal to theta's
-    column count.
+    proceeds from an exact point.
 
     Returns
     -------
@@ -115,18 +111,9 @@ def palm_factorize(
         noise values.
     """
     theta = prob.theta
-    k = prob.inner_dim
-    if omega0 is None or psi0 is None:
-        if k != theta.shape[1]:
-            raise ValueError(
-                "default initialization requires inner_dim == theta column count; "
-                "pass omega0 and psi0 explicitly"
-            )
-        omega = theta.copy() if omega0 is None else np.asarray(omega0, dtype=float).copy()
-        psi = np.eye(k) if psi0 is None else np.asarray(psi0, dtype=float).copy()
-    else:
-        omega = np.asarray(omega0, dtype=float).copy()
-        psi = np.asarray(psi0, dtype=float).copy()
+    k = theta.shape[1]
+    omega = theta.copy() if omega0 is None else np.asarray(omega0, dtype=float).copy()
+    psi = np.eye(k) if psi0 is None else np.asarray(psi0, dtype=float).copy()
     if omega.shape != (theta.shape[0], k) or psi.shape != (k, theta.shape[1]):
         raise ValueError("initial factor shapes inconsistent with problem")
 

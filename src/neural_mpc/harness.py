@@ -114,6 +114,8 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; valid: {VARIANTS}")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"each variant may be listed once, got {list(self.variants)}")
         if self.q is None:
             self.q = np.diag([10.0, 1.0, 500.0, 1.0])
         if self.r is None:
@@ -360,9 +362,9 @@ def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal
     return single_layer, step_limits(net)[1]
 
 
-def _factorize(data: NetworkData, s_omega: int, s_psi: int, k_bar: int = 100_000):
+def _factorize(data: NetworkData, s_omega: int, s_psi: int):
     theta = stack_target(data.gamma, data.u_dual_map)
-    prob = FactorizationProblem(theta=theta, s_omega=s_omega, s_psi=s_psi, k_bar=k_bar)
+    prob = FactorizationProblem(theta=theta, s_omega=s_omega, s_psi=s_psi)
     # Start from the zero-residual factorization with an identity hidden layer
     # (when the synaptic matrix is invertible) so the sparsified factors keep
     # the recurrence in the second layer rather than mirroring it.

@@ -16,18 +16,17 @@ obtained from factorizing the stacked matrix [gamma; -u_dual_map]; its hidden
 state may be negative, so no orthant invariance is claimed for it.
 
 One forward-Euler kernel, ``_euler``, runs both forms: ``settle`` and
-``settle_multilayer`` loop it until quiescent, ``step_single_layer`` and
-``step_multilayer`` take one step, and all four form the input drive
-m_map @ x0 + bias once.  A network has settled when ||rate||_inf <= tol; the
-squared norm rate . rate decides that alone unless it lies between tol^2 and
-len(rate) tol^2.
+``settle_multilayer`` loop it until quiescent, and both form the input drive
+m_map @ x0 + bias once.  One Euler step is a call with max_time = dt.  A
+network has settled when ||rate||_inf <= tol; the squared norm rate . rate
+decides that alone unless it lies between tol^2 and len(rate) tol^2.
 
 The Euler step comes from the spectrum of gamma (``step_limits``).  Over every
 activation pattern the Jacobian's eigenvalues are -1 (inactive units) and
 -1 + eig(gamma_AA - eps) (active ones), which Cauchy interlacing puts at real
 part >= -(1 + eps0 - lambda_min(gamma)); a multilayer network adds the disc of
 radius e = ||omega1 psi - gamma||_F (Bauer-Fike).  With a = max(1, 1 + e -
-lambda_min), every entry point requires 0 < dt/eta < 2/a, and settling defaults
+lambda_min), both entry points require 0 < dt/eta < 2/a, and settling defaults
 to dt/eta = 2/(a + 1), which contracts the fastest mode and the decay of
 inactive units by the same factor (a - 1)/(a + 1).
 """
@@ -46,25 +45,21 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _step_ratio(dt: float, eta: float, h_max: float) -> float:
-    """Euler step per time constant, dt/eta; it must lie in (0, h_max)."""
+def _budget(eta: float, tol: float, max_time: float, dt: float | None, limits):
+    """Validated (dt, dt/eta, step count) of a settle call; dt defaults to
+    eta times the network's default step ``limits[1]``, and dt/eta must lie in
+    (0, limits[0])."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    h_max, h = limits
+    dt = h * eta if dt is None else dt
     step = dt / eta
     if not 0.0 < step < h_max:
         raise ValueError(
             f"step size must satisfy 0 < dt/eta < {h_max!r}, the Euler stability "
             f"limit 2/max(1, 1 + e - lambda_min(gamma)); got dt/eta = {step}"
         )
-    return step
-
-
-def _budget(eta: float, tol: float, max_time: float, dt: float | None, limits):
-    """Validated (dt, dt/eta, step count) of a settle call; dt defaults to
-    eta times the network's default step ``limits[1]``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    h_max, h = limits
-    dt = h * eta if dt is None else dt
-    return dt, _step_ratio(dt, eta, h_max), max(1, int(round(max_time / dt)))
+    return dt, step, max(1, int(round(max_time / dt)))
 
 
 def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
@@ -146,10 +141,10 @@ class FiringRateNetwork:
     lam: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 <= self.eps0 < np.inf:
+            raise ValueError(f"eps0 must be nonnegative and finite, got {self.eps0}")
         if self.lam is None:
             self.lam = np.zeros(self.data.size)
         else:
@@ -168,23 +163,6 @@ def _bias_in(data: NetworkData, x0) -> np.ndarray:
     return data.m_map @ np.asarray(x0, dtype=float) + data.bias
 
 
-def step_single_layer(
-    net: FiringRateNetwork, x0: np.ndarray, dt: float, t: float = 0.0
-) -> np.ndarray:
-    """One forward-Euler step of the single-layer dynamics; returns updated lam.
-
-    Requires dt/eta below the network's stability limit (``step_limits``).
-    With lam >= 0 and dt <= eta the update is a convex combination of lam and
-    a nonnegative term, so the nonnegative orthant is forward invariant.
-    """
-    step = _step_ratio(dt, net.eta, step_limits(net)[0])
-    eps = (lambda k: net.epsilon(t)) if net.eps0 else None
-    bias_in = _bias_in(net.data, x0)
-    # tol = 0 skips the update only when the rate is exactly zero, a no-op.
-    net.lam, _, _ = _euler(net.data.gamma, None, net.lam, bias_in, step, 1, 0.0, eps)
-    return net.lam
-
-
 def settle(
     net: FiringRateNetwork,
     x0: np.ndarray,
@@ -200,7 +178,9 @@ def settle(
     equilibrium drifts, so the flag may stay False even near convergence.
 
     ``dt`` defaults to eta times the network's default step (``step_limits``),
-    so max_time buys max_time / dt steps.
+    so max_time buys max_time / dt steps; max_time = dt takes one step.  With
+    lam >= 0 and dt <= eta each step is a convex combination of lam and a
+    nonnegative term, so the nonnegative orthant is forward invariant.
 
     Returns
     -------
@@ -246,8 +226,8 @@ class MultilayerNetwork:
     _step_cache: tuple = field(default=None, init=False, repr=False, compare=False)  # (aux, e)
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
         k = self.psi.shape[0]
         if self.omega1.shape[1] != k or self.omega2.shape[1] != k:
             raise ValueError("omega1/omega2 column counts must match psi rows")
@@ -258,16 +238,6 @@ class MultilayerNetwork:
 
     def reset(self):
         self.tilde_lam = np.zeros(self.psi.shape[0])
-
-
-def step_multilayer(
-    net: MultilayerNetwork, aux: NetworkData, x0: np.ndarray, dt: float
-) -> np.ndarray:
-    """One forward-Euler step of the multilayer dynamics; returns updated state."""
-    step = _step_ratio(dt, net.eta, step_limits(net, aux)[0])
-    bias_in = _bias_in(aux, x0)
-    net.tilde_lam, _, _ = _euler(net.omega1, net.psi, net.tilde_lam, bias_in, step, 1, 0.0)
-    return net.tilde_lam
 
 
 def settle_multilayer(

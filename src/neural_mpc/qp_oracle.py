@@ -3,9 +3,10 @@
 ``solve_qp`` is the trust anchor for every equivalence check in the package:
 it writes the QP as a least-distance problem and solves that with one
 Lawson-Hanson NNLS call, which terminates finitely at any horizon, and refuses
-any answer that fails its own KKT check.  Two independent solvers cross-check
-it in the tests: the brute-force active-set enumeration, which visits every
-candidate active set (m <= 24), and a projected-gradient iteration on the dual.
+any answer that fails its own KKT check.  The brute-force active-set
+enumeration, which visits every candidate active set (m <= 24), cross-checks
+it in the tests; the networks' own projected-gradient flow (``settle``) is
+checked against both through ``dual_objective``.
 """
 
 from __future__ import annotations
@@ -220,50 +221,18 @@ def _minimal_norm_dual(qp, x0, sol: QpSolution, tol: float) -> np.ndarray | None
     return best_lam
 
 
-def _dual_data(qp: CondensedQp, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dual Hessian F = G H^-1 G' and linear term q = G H^-1 S x0 + g + T x0.
+def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
+    """Dual objective 1/2 lam' G H^-1 G' lam + (G H^-1 S x0 + g + T x0)' lam.
 
-    With H = L L' and W_G = L^-1 G' (``qp.factor``), F = W_G' W_G, which is
-    exactly symmetric.
+    With H = L L' and W_G = L^-1 G' (``qp.factor``), G H^-1 G' = W_G' W_G.
     """
     x0 = np.asarray(x0, dtype=float)
     _, w_g, w_s = qp.factor
     q_vec = w_g.T @ (w_s @ x0) + qp.g_vec + qp.t_mat @ x0
-    return w_g.T @ w_g, q_vec
-
-
-def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
-    """Dual objective 1/2 lam' G H^-1 G' lam + (G H^-1 S x0 + g + T x0)' lam."""
-    f_mat, q_vec = _dual_data(qp, x0)
-    return float(0.5 * lam @ f_mat @ lam + q_vec @ lam)
+    return float(0.5 * lam @ (w_g.T @ w_g) @ lam + q_vec @ lam)
 
 
 def primal_from_dual(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Stationarity recovery  u = -H^-1 (G' lam + S x0) = -L^-T (W_G lam + W_S x0)."""
     low, w_g, w_s = qp.factor
     return -np.linalg.solve(low.T, w_g @ lam + w_s @ np.asarray(x0, dtype=float))
-
-
-def solve_projected_gradient(
-    qp: CondensedQp,
-    x0: np.ndarray,
-    iters: int = 10_000,
-    step: float | None = None,
-    lam0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Discrete projected-gradient iteration on the dual; returns lam.
-
-    Iterates lam <- relu(lam - step (F lam + q)) with F = G H^-1 G'.  The step
-    must not exceed 1/L with L the largest eigenvalue of F, which makes the
-    dual objective non-increasing.
-    """
-    f_mat, q_vec = _dual_data(qp, x0)
-    lip = float(np.max(np.linalg.eigvalsh(f_mat)))
-    if step is None:
-        step = 1.0 / lip if lip > 0 else 1.0
-    elif lip > 0 and step > 1.0 / lip + 1e-12:
-        raise ValueError(f"step {step} exceeds 1/L = {1.0 / lip}")
-    lam = np.zeros(qp.m) if lam0 is None else np.asarray(lam0, dtype=float).copy()
-    for _ in range(iters):
-        lam = np.maximum(lam - step * (f_mat @ lam + q_vec), 0.0)
-    return lam

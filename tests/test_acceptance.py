@@ -146,7 +146,7 @@ def test_criterion_3_kkt_residuals_long_horizon(horizon):
 
 def test_criterion_4_minimal_norm_dual():
     qp = duplicated_row_qp()
-    oracle = nm.solve_active_set_enumeration(qp, np.zeros(1))
+    oracle = nm.solve_qp(qp, np.zeros(1))
     net = nm.FiringRateNetwork(data=nm.build_network(qp), eta=1e-3, eps0=0.1)
     lam, _ = nm.settle(net, np.zeros(1), tol=1e-12, max_time=2.0)
     err = float(np.max(np.abs(lam - oracle.lam)))

@@ -237,7 +237,6 @@ class TestOneFactor:
         sol = nm.solve_qp(qp, x0)
         nm.primal_from_dual(qp, x0, sol.lam)
         nm.dual_objective(qp, x0, sol.lam)
-        nm.solve_projected_gradient(qp, x0, iters=10)
         assert len(calls) == 1
 
     def test_factor_reproduces_h(self, cart_pole_setup):

@@ -97,6 +97,17 @@ class TestConfig:
             nm.ExperimentConfig.cart_pole_default(variants=())
 
     @pytest.mark.parametrize(
+        "variants",
+        [("oracle", "single_layer", "single_layer"), ["perturbed", "single_layer", "perturbed"]],
+    )
+    def test_repeated_variant_rejected(self, variants):
+        # a repeat would run twice and be reported once
+        with pytest.raises(ValueError, match="listed once"):
+            nm.ExperimentConfig.cart_pole_default(variants=variants)
+        with pytest.raises(ValueError, match="listed once"):
+            nm.ExperimentConfig.from_dict({"variants": list(variants)})
+
+    @pytest.mark.parametrize(
         "overrides, field",
         [
             ({"x0": np.zeros(5)}, "x0"),

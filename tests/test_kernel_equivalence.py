@@ -1,11 +1,13 @@
 """The shared Euler kernel against verbatim copies of the four loops it replaced.
 
 ``settle`` and ``settle_multilayer`` must return bitwise-equal states, flags,
-times and trajectories; the one-step functions now form the input drive once,
-as ``settle`` does, so they must reproduce ``settle``'s trajectory bitwise and
-stay within rounding of their former arithmetic.  The copied settle loops
-differ from the former ones only in their default step, which is now taken
-from the spectrum of gamma (``default_dt``, computed here on its own).
+times and trajectories.  The former one-step loops subtracted the input map
+and the bias one after the other, where the kernel forms the input drive
+once, so a settle's per-step states stay within rounding of theirs; a settle
+of k steps ends bitwise where a longer one's trajectory is after k.  The
+copied settle loops differ from the former ones only in their default step,
+which is now taken from the spectrum of gamma (``default_dt``, computed here
+on its own).
 """
 
 import numpy as np
@@ -302,7 +304,9 @@ class TestStopTest:
         run_single(data, [np.zeros(1)], warm=False, max_time=1e-4)
 
 
-# --- one-step functions -----------------------------------------------------
+# --- per-step states ---------------------------------------------------------
+# One Euler step is a settle call with max_time = dt; tol = 1e-300 lets only an
+# exactly zero rate stop it.
 
 
 # The former steps subtracted m_map @ x0 and bias one after the other; the
@@ -319,7 +323,8 @@ class TestSteps:
         stepped, settled = single_pair(data, eps0)
         _, _, _, traj = nm.settle(settled, x0, tol=1e-300, max_time=0.01, record=True)
         for k in range(1, len(traj)):
-            nm.step_single_layer(stepped, x0, dt, t=(k - 1) * dt)
+            stepped.reset()
+            nm.settle(stepped, x0, tol=1e-300, max_time=k * dt, dt=dt)
             assert_bitwise(stepped.lam, traj[k])
 
     def test_multilayer_steps_reproduce_settle(self, cart_pole_setup, factors):
@@ -329,7 +334,7 @@ class TestSteps:
         stepped, settled = multi_pair(fac)
         dt = default_dt(1e-3, data.gamma, np.linalg.norm(fac["omega1"] @ fac["psi"] - data.gamma))
         for n in range(1, 40):
-            nm.step_multilayer(stepped, data, x0, dt)
+            nm.settle_multilayer(stepped, data, x0, tol=1e-300, max_time=dt, dt=dt)
             settled.reset()
             nm.settle_multilayer(settled, data, x0, tol=1e-300, max_time=n * dt)
             assert_bitwise(stepped.tilde_lam, settled.tilde_lam)
@@ -340,18 +345,19 @@ class TestSteps:
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
         dt = 5e-5
         new, old = single_pair(data, eps0)
+        _, _, _, traj = nm.settle(new, x0, tol=1e-300, max_time=400 * dt, dt=dt, record=True)
+        assert len(traj) == 401
         for k in range(400):
-            nm.step_single_layer(new, x0, dt, t=k * dt)
             old_step_single_layer(old, x0, dt, t=k * dt)
             scale = 1.0 + np.max(np.abs(old.lam))
-            assert np.max(np.abs(new.lam - old.lam)) <= ROUNDING * scale
+            assert np.max(np.abs(traj[k + 1] - old.lam)) <= ROUNDING * scale
 
     def test_multilayer_steps_match_former_to_rounding(self, cart_pole_setup, factors):
         _, _, _, data = cart_pole_setup
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
         new, old = multi_pair(factors["approx"])
         for _ in range(400):
-            nm.step_multilayer(new, data, x0, 5e-5)
+            nm.settle_multilayer(new, data, x0, tol=1e-300, max_time=5e-5, dt=5e-5)
             old_step_multilayer(old, data, x0, 5e-5)
             scale = 1.0 + np.max(np.abs(old.tilde_lam))
             assert np.max(np.abs(new.tilde_lam - old.tilde_lam)) <= ROUNDING * scale

@@ -34,8 +34,8 @@ class TestStepSingleLayer:
             u_dual_map=data.u_dual_map,
         )
         net = nm.FiringRateNetwork(data=relaxed, eta=1e-3)
-        for k in range(50):
-            nm.step_single_layer(net, np.array([0.3, 0, 0.15, 0]), dt=5e-5, t=k * 5e-5)
+        for _ in range(50):
+            nm.settle(net, np.array([0.3, 0, 0.15, 0]), tol=1e-300, max_time=5e-5, dt=5e-5)
         assert np.all(net.lam == 0.0)
 
     def test_scalar_fixed_point(self):
@@ -51,11 +51,11 @@ class TestStepSingleLayer:
         _, _, _, data = cart_pole_setup
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         with pytest.raises(ValueError):
-            nm.step_single_layer(net, np.zeros(4), dt=1e-3)
+            nm.settle(net, np.zeros(4), tol=1e-300, max_time=1e-3, dt=1e-3)
 
 
 class TestStepGuard:
-    """Every entry point requires 0 < dt/eta < 2/max(1, 1 + e - lambda_min(gamma))."""
+    """Both entry points require 0 < dt/eta < 2/max(1, 1 + e - lambda_min(gamma))."""
 
     @pytest.mark.parametrize("dt", [0.0, -5e-5, -1e-3, 6e-4, float("nan")])
     def test_settle_rejects(self, cart_pole_setup, dt):
@@ -77,15 +77,16 @@ class TestStepGuard:
 
     @pytest.mark.parametrize("dt", [0.0, -5e-5])
     def test_steps_reject(self, cart_pole_setup, dt):
+        # one-step calls (max_time = dt): the guard fires before max_time / dt
         _, _, _, data = cart_pole_setup
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         multi = nm.MultilayerNetwork(
             omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
         )
         with pytest.raises(ValueError, match="dt/eta"):
-            nm.step_single_layer(net, np.zeros(4), dt=dt)
+            nm.settle(net, np.zeros(4), tol=1e-300, max_time=dt, dt=dt)
         with pytest.raises(ValueError, match="dt/eta"):
-            nm.step_multilayer(multi, data, np.zeros(4), dt=dt)
+            nm.settle_multilayer(multi, data, np.zeros(4), tol=1e-300, max_time=dt, dt=dt)
 
     @pytest.mark.parametrize("ratio", [0.3, 0.5])
     def test_unsettling_steps_rejected(self, cart_pole_setup, ratio):
@@ -107,13 +108,32 @@ class TestStepGuard:
         limit = re.escape(repr(h_max))
         for call in (
             lambda: nm.settle(net, x0, dt=dt),
-            lambda: nm.step_single_layer(net, x0, dt),
             lambda: nm.settle_multilayer(multi, data, x0, dt=dt),
-            lambda: nm.step_multilayer(multi, data, x0, dt),
         ):
             with pytest.raises(ValueError, match=f"dt/eta < {limit}"):
                 call()
         assert np.all(net.lam == 0.0) and np.all(multi.tilde_lam == 0.0)
+
+
+class TestParameters:
+    """Construction rejects a time constant that is not positive and a
+    regularizer that is negative or not finite, NaN included."""
+
+    @pytest.mark.parametrize("eta", [0.0, -1e-3, float("nan")])
+    def test_eta_rejected(self, cart_pole_setup, eta):
+        _, _, _, data = cart_pole_setup
+        with pytest.raises(ValueError, match="eta must be positive"):
+            nm.FiringRateNetwork(data=data, eta=eta)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            nm.MultilayerNetwork(
+                omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=eta
+            )
+
+    @pytest.mark.parametrize("eps0", [-0.1, float("nan"), float("inf")])
+    def test_eps0_rejected(self, cart_pole_setup, eps0):
+        _, _, _, data = cart_pole_setup
+        with pytest.raises(ValueError, match="eps0 must be nonnegative and finite"):
+            nm.FiringRateNetwork(data=data, eps0=eps0)
 
 
 X0 = np.array([0.3, 0.0, 0.15, 0.0])
@@ -151,17 +171,11 @@ def networks(cart_pole_setup):
     return out
 
 
-def entry_points(net, aux):
-    """settle and one step of either network form, at an explicit dt."""
+def settle_at(net, aux):
+    """Settle either network form for 20 steps at an explicit dt."""
     if aux is None:
-        return (
-            lambda dt: nm.settle(net, X0, dt=dt, max_time=20 * dt),
-            lambda dt: nm.step_single_layer(net, X0, dt),
-        )
-    return (
-        lambda dt: nm.settle_multilayer(net, aux, X0, dt=dt, max_time=20 * dt),
-        lambda dt: nm.step_multilayer(net, aux, X0, dt),
-    )
+        return lambda dt: nm.settle(net, X0, dt=dt, max_time=20 * dt)
+    return lambda dt: nm.settle_multilayer(net, aux, X0, dt=dt, max_time=20 * dt)
 
 
 class TestStepLimits:
@@ -175,13 +189,11 @@ class TestStepLimits:
         net, aux = make()
         assert nm.step_limits(net, aux) == (2.0 / a, 2.0 / (a + 1.0))
         h_max = 2.0 / a
-        settle, step = entry_points(net, aux)
+        settle = settle_at(net, aux)
         below, above = h_max * (1 - 1e-9) * 1e-3, h_max * (1 + 1e-9) * 1e-3
         settle(below)
-        step(below)
-        for call in (settle, step):
-            with pytest.raises(ValueError, match="dt/eta <"):
-                call(above)
+        with pytest.raises(ValueError, match="dt/eta <"):
+            settle(above)
 
     def test_cart_pole_figures(self, networks):
         # lambda_min(gamma) = -18.61 at N = 2: limit 0.1020, default 0.0970
@@ -319,7 +331,7 @@ class TestSettle:
     def test_cart_pole_equilibrium_matches_oracle_dual(self, cart_pole_setup):
         _, _, qp, data = cart_pole_setup
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
-        sol = nm.solve_active_set_enumeration(qp, x0)
+        sol = nm.solve_qp(qp, x0)
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         lam, settled = nm.settle(net, x0, tol=1e-10, max_time=0.2)
         assert settled
@@ -340,7 +352,7 @@ class TestExtractControl:
     def test_saturated_control_hits_bound(self, cart_pole_setup):
         _, _, qp, data = cart_pole_setup
         x0 = np.array([0.0, 0.0, 0.3, 0.0])
-        sol = nm.solve_active_set_enumeration(qp, x0)
+        sol = nm.solve_qp(qp, x0)
         assert min(abs(sol.u[0] + 10.0), abs(sol.u[0] - 12.0)) < 1e-9
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         lam, _ = nm.settle(net, x0, tol=1e-10, max_time=0.1)
@@ -361,8 +373,8 @@ class TestMultilayer:
         )
         dt = 5e-5
         for _ in range(400):
-            nm.step_single_layer(single, x0, dt)
-            nm.step_multilayer(multi, data, x0, dt)
+            nm.settle(single, x0, tol=1e-300, max_time=dt, dt=dt)
+            nm.settle_multilayer(multi, data, x0, tol=1e-300, max_time=dt, dt=dt)
             assert np.max(np.abs(single.lam - multi.tilde_lam)) == 0.0
 
     def test_any_exact_factorization_matches_outputs(self, cart_pole_setup):
@@ -380,8 +392,8 @@ class TestMultilayer:
         multi = nm.MultilayerNetwork(omega1=omega1, omega2=omega2, psi=psi, eta=1e-3)
         dt = 5e-5
         for _ in range(400):
-            nm.step_single_layer(single, x0, dt)
-            nm.step_multilayer(multi, data, x0, dt)
+            nm.settle(single, x0, tol=1e-300, max_time=dt, dt=dt)
+            nm.settle_multilayer(multi, data, x0, tol=1e-300, max_time=dt, dt=dt)
             y_single = data.gamma @ single.lam
             y_multi = omega1 @ multi.tilde_lam
             u_single = -data.u_dual_map @ single.lam
@@ -425,9 +437,8 @@ class TestInvariants:
             )
             x0 = rng.uniform(-0.5, 0.5, 4)
             dt = 5e-5
-            for k in range(200):
-                nm.step_single_layer(net, x0, dt, t=k * dt)
-                assert np.min(net.lam) >= -1e-12
+            _, _, _, traj = nm.settle(net, x0, tol=1e-300, max_time=200 * dt, dt=dt, record=True)
+            assert np.min(traj) >= -1e-12
 
     def test_equilibrium_kkt_residuals(self, cart_pole_setup):
         _, _, qp, data = cart_pole_setup
@@ -500,8 +511,8 @@ class TestBenchmarkHooks:
         assert not nm.settle_multilayer(multi, data, x0 + 0.1, tol=1e-300, max_time=100 * dt)[1]
         assert calls[0] == 100
         calls[0] = 0
-        nm.step_single_layer(single, x0, 5e-5)
-        nm.step_multilayer(multi, data, x0, 5e-5)
+        nm.settle(single, x0, tol=1e-300, max_time=5e-5, dt=5e-5)
+        nm.settle_multilayer(multi, data, x0, tol=1e-300, max_time=5e-5, dt=5e-5)
         assert calls[0] == 2
 
     def test_settle_then_readout_once_per_action(self, monkeypatch):

@@ -8,7 +8,7 @@ from conftest import duplicated_row_qp, one_dim_qp
 # Sampling box for oracle cross-checks: wide enough to saturate the input
 # bounds at many draws, narrow enough that the near-singular state-constraint
 # faces (whose dual Hessian eigenvalues are ~1e-6) stay inactive and the
-# projected-gradient iteration converges in a practical iteration budget.
+# network's projected-gradient flow settles within its default budget.
 SAMPLE_BOX = np.array([0.3, 0.5, 0.05, 0.2])
 
 
@@ -134,56 +134,31 @@ class TestSolveQp(_SolverCases):
 
 
 class TestProjectedGradient:
-    def test_relaxed_stays_zero(self, cart_pole_setup):
-        _, _, qp, _ = cart_pole_setup
-        relaxed = nm.CondensedQp(
-            h=qp.h,
-            s=qp.s,
-            g_mat=qp.g_mat,
-            t_mat=qp.t_mat,
-            g_vec=qp.g_vec * 1e6,
-            m=qp.m,
-            upsilon_rows=qp.upsilon_rows,
-        )
-        lam = nm.solve_projected_gradient(relaxed, np.array([0.3, 0, 0.15, 0]), iters=100)
-        assert np.all(lam == 0.0)
-
-    def test_one_dim_convergence(self):
-        lam = nm.solve_projected_gradient(one_dim_qp(), np.zeros(1), iters=10_000)
-        assert abs(lam[0] - 1.0) < 1e-8
-
-    def test_step_size_guard(self):
-        with pytest.raises(ValueError, match="step"):
-            nm.solve_projected_gradient(one_dim_qp(), np.zeros(1), iters=10, step=2.0)
+    """The network (``settle``) runs the projected-gradient flow on the dual;
+    its equilibrium attains the enumeration's dual objective."""
 
     def test_objective_agrees_with_enumeration(self, cart_pole_setup):
-        _, _, qp, _ = cart_pole_setup
+        _, _, qp, data = cart_pole_setup
         x0 = np.array([0.0, 0.0, 0.3, 0.0])
         sol = nm.solve_active_set_enumeration(qp, x0)
-        lam = nm.solve_projected_gradient(qp, x0, iters=10_000)
+        lam, settled = nm.settle(nm.FiringRateNetwork(data=data), x0)
+        assert settled
         assert abs(
             nm.dual_objective(qp, x0, lam) - nm.dual_objective(qp, x0, sol.lam)
         ) < 1e-8
 
-    def test_objective_non_increasing(self, cart_pole_setup):
-        _, _, qp, _ = cart_pole_setup
-        x0 = np.array([0.3, 0.0, 0.15, 0.0])
-        objs = []
-        lam = np.zeros(qp.m)
-        for _ in range(200):
-            lam = nm.solve_projected_gradient(qp, x0, iters=1, lam0=lam)
-            objs.append(nm.dual_objective(qp, x0, lam))
-        assert np.max(np.diff(np.array(objs))) <= 1e-12
-
 
 class TestSelfConsistency:
     def test_enumeration_vs_projected_gradient(self, cart_pole_setup):
-        _, _, qp, _ = cart_pole_setup
+        _, _, qp, data = cart_pole_setup
+        net = nm.FiringRateNetwork(data=data)
         rng = np.random.default_rng(1)
         for _ in range(50):
             x0 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)
             sol = nm.solve_active_set_enumeration(qp, x0)
-            lam = nm.solve_projected_gradient(qp, x0, iters=10_000)
+            net.reset()
+            lam, settled = nm.settle(net, x0)
+            assert settled
             assert abs(
                 nm.dual_objective(qp, x0, lam) - nm.dual_objective(qp, x0, sol.lam)
             ) < 1e-7
