@@ -116,6 +116,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant {v!r}; valid: {VARIANTS}")
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"each variant may be listed once, got {list(self.variants)}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 <= self.eps0 < np.inf:
+            raise ValueError(f"eps0 must be nonnegative and finite, got {self.eps0}")
         if self.q is None:
             self.q = np.diag([10.0, 1.0, 500.0, 1.0])
         if self.r is None:

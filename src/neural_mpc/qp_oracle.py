@@ -3,10 +3,11 @@
 ``solve_qp`` is the trust anchor for every equivalence check in the package:
 it writes the QP as a least-distance problem and solves that with one
 Lawson-Hanson NNLS call, which terminates finitely at any horizon, and refuses
-any answer that fails its own KKT check.  The brute-force active-set
-enumeration, which visits every candidate active set (m <= 24), cross-checks
-it in the tests; the networks' own projected-gradient flow (``settle``) is
-checked against both through ``dual_objective``.
+any answer that fails its own KKT check; a second such solve picks the
+minimal-norm dual when the active rows are rank-deficient.  The brute-force
+active-set enumeration, which visits every candidate active set (m <= 24),
+cross-checks it in the tests; the networks' own projected-gradient flow
+(``settle``) is checked against both through ``dual_objective``.
 """
 
 from __future__ import annotations
@@ -47,16 +48,9 @@ def solve_qp(qp: CondensedQp, x0: np.ndarray, tol: float = 1e-9) -> QpSolution:
 
     With H = L L' (``qp.factor``) and v = L'u + L^-1 S x0 the QP becomes
     min 1/2 ||v||^2 s.t. E v <= f, with E = G L^-T = W_G' and
-    f = g + T x0 + G H^-1 S x0 (Lawson & Hanson, *Solving Least Squares
-    Problems*, 1974, ch. 23).  One NNLS solve
-    y = argmin_{y >= 0} ||[-E'; -f'] y - e_{n+1}|| with residual r gives
-    v = -r[:n] / r[n], the dual lam = y / (1 + f'y) and u = -H^-1 S x0 + L^-T v.
-    A vanishing residual certifies that the constraints are infeasible.
-
-    Among multiple optimal dual vectors the minimal-Euclidean-norm one is
-    returned: when the rows active at u* are rank-deficient, the support
-    search of the enumeration replaces the NNLS dual (for up to 16 active
-    rows; beyond that the NNLS dual is kept).
+    f = g + T x0 + G H^-1 S x0, which ``_least_distance`` solves; then
+    u = -H^-1 S x0 + L^-T v.  Among multiple optimal dual vectors the
+    minimal-Euclidean-norm one is returned (``_minimal_norm_dual``).
 
     Raises
     ------
@@ -67,29 +61,42 @@ def solve_qp(qp: CondensedQp, x0: np.ndarray, tol: float = 1e-9) -> QpSolution:
         complementarity by more than ``tol`` (scaled to the data).
     """
     x0 = np.asarray(x0, dtype=float)
-    n_u = qp.h.shape[0]
     low, w_g, w_s = qp.factor
     c_vec = w_s @ x0  # L^-1 S x0
     w_vec = qp.g_vec + qp.t_mat @ x0
-    mat = np.vstack([-w_g, -(w_vec + w_g.T @ c_vec)])
-    rhs = np.zeros(n_u + 1)
-    rhs[n_u] = 1.0
-    y, rnorm = nnls(mat, rhs)
-    resid = mat @ y - rhs
-    if rnorm <= 1e-12 or resid[n_u] >= 0.0:
+    found = _least_distance(w_g.T, w_vec + w_g.T @ c_vec)
+    if found is None:
         raise InfeasibleProblem("least-distance problem has no solution; QP is infeasible")
-    u = np.linalg.solve(low.T, -resid[:n_u] / resid[n_u] - c_vec)
-    sol = QpSolution(u=u, lam=y / -resid[n_u], active=(), objective=_objective(qp, x0, u))
-
+    v, lam = found
+    u = np.linalg.solve(low.T, v - c_vec)
     slack = w_vec - qp.g_mat @ u
-    act = np.flatnonzero(slack <= tol * max(1.0, np.max(np.abs(qp.g_vec))))
-    if act.size > 1 and np.linalg.matrix_rank(qp.g_mat[act]) < act.size:
-        lam_min = _minimal_norm_dual(qp, x0, sol, tol)
-        if lam_min is not None:
-            sol.lam = lam_min
-    sol.active = tuple(np.flatnonzero(sol.lam > tol).tolist())
+    lam = _minimal_norm_dual(qp, x0, u, lam, slack, tol)
+    active = tuple(np.flatnonzero(lam > tol).tolist())
+    sol = QpSolution(u=u, lam=lam, active=active, objective=_objective(qp, x0, u))
     _check_kkt(qp, x0, sol, w_vec, slack, tol)
     return sol
+
+
+def _least_distance(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve min ||v|| s.t. e v <= f; return (v, multipliers), or None if infeasible.
+
+    One NNLS solve y = argmin_{y >= 0} ||[-e'; -f'] y - e_{n+1}|| with
+    residual r gives v = -r[:n] / r[n] and the multipliers y / (1 + f'y)
+    (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).  It
+    terminates finitely, and a vanishing residual certifies that no v
+    satisfies the rows.
+    """
+    n = e.shape[1]
+    if f.size == 0:  # no rows; nnls would abort on a matrix without columns
+        return np.zeros(n), np.zeros(0)
+    mat = np.vstack([-e.T, -f])
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    y, rnorm = nnls(mat, rhs)
+    resid = mat @ y - rhs
+    if rnorm <= 1e-12 or resid[n] >= 0.0:
+        return None
+    return -resid[:n] / resid[n], y / -resid[n]
 
 
 def _check_kkt(qp, x0, sol: QpSolution, w_vec, slack, tol: float) -> None:
@@ -122,8 +129,8 @@ def solve_active_set_enumeration(
     Candidate sets larger than the number of decision variables have
     rank-deficient constraint gradients and a singular KKT matrix, so they are
     skipped; singular KKT systems for smaller sets are skipped as well.  Among
-    multiple optimal dual vectors the minimal-Euclidean-norm one is returned,
-    computed by a least-norm solve over the constraints active at the optimum.
+    multiple optimal dual vectors the minimal-Euclidean-norm one is returned
+    (``_minimal_norm_dual``, shared with ``solve_qp``).
 
     Raises
     ------
@@ -172,64 +179,53 @@ def solve_active_set_enumeration(
     if best is None:
         raise InfeasibleProblem("no feasible active set found; problem is infeasible")
 
-    lam_min = _minimal_norm_dual(qp, x0, best, tol)
-    if lam_min is not None:
-        best = QpSolution(
-            u=best.u,
-            lam=lam_min,
-            active=tuple(np.flatnonzero(lam_min > tol)),
-            objective=best.objective,
-        )
+    best.lam = _minimal_norm_dual(qp, x0, best.u, best.lam, rhs_con - qp.g_mat @ best.u, tol)
+    best.active = tuple(np.flatnonzero(best.lam > tol).tolist())
     return best
 
 
-def _minimal_norm_dual(qp, x0, sol: QpSolution, tol: float) -> np.ndarray | None:
-    """Least-norm nonnegative dual supported on the constraints active at u*.
+def _minimal_norm_dual(qp, x0, u, lam, slack, tol: float) -> np.ndarray:
+    """Least-norm nonnegative dual on the rows A active at u*, else ``lam``.
 
-    Solves min ||lam|| s.t. G_I' lam_I = -(H u* + S x0), lam >= 0 by support
-    enumeration: the optimum restricted to its support is the least-norm
-    solution of the support-restricted equality system.
+    Solves min ||l|| s.t. G_A' l_A = r = -(H u* + S x0), l >= 0.  One SVD of
+    G_A' gives its rank (by ``matrix_rank``'s rule), the pseudo-inverse
+    solution l_p and an orthonormal basis N of its null space; then
+    l_A = l_p + N z with z = argmin ||z|| s.t. -N z <= l_p, and since l_p is
+    orthogonal to N, ||l||^2 = ||l_p||^2 + ||z||^2.  Where l_p is negative by
+    rounding, l may stay down to -tol before it is clipped to 0.  ``lam`` is
+    returned unchanged when G_A' has full rank or at most one row (the dual
+    is unique) or when no such l exists.
     """
-    resid = -(qp.h @ sol.u + qp.s @ x0)
-    slack = qp.g_vec + qp.t_mat @ x0 - qp.g_mat @ sol.u
-    act = np.flatnonzero(slack <= tol * max(1.0, np.max(np.abs(qp.g_vec))))
-    if act.size == 0:
-        return np.zeros(qp.m) if np.linalg.norm(resid) <= 1e-7 else None
-    if act.size > 16:
-        return None  # support enumeration too large; keep the enumerated dual
-    scale = max(1.0, float(np.linalg.norm(resid)))
-    best_lam, best_norm = None, np.inf
-    for size in range(0, act.size + 1):
-        for support in combinations(act, size):
-            if size == 0:
-                if np.linalg.norm(resid) <= 1e-7 * scale:
-                    cand = np.zeros(qp.m)
-                else:
-                    continue
-            else:
-                g_sup = qp.g_mat[list(support)]
-                lam_s, *_ = np.linalg.lstsq(g_sup.T, resid, rcond=None)
-                if np.linalg.norm(g_sup.T @ lam_s - resid) > 1e-7 * scale:
-                    continue
-                if np.min(lam_s) < -tol:
-                    continue
-                cand = np.zeros(qp.m)
-                cand[list(support)] = np.maximum(lam_s, 0.0)
-            norm = float(np.linalg.norm(cand))
-            if norm < best_norm - 1e-12:
-                best_norm, best_lam = norm, cand
-    return best_lam
+    act = np.flatnonzero(slack <= tol * max(1.0, np.max(np.abs(qp.g_vec), initial=0.0)))
+    if act.size < 2:
+        return lam
+    g_act_t = qp.g_mat[act].T
+    left, sing, right_t = np.linalg.svd(g_act_t)
+    rank = np.count_nonzero(sing > sing.max() * max(g_act_t.shape) * np.finfo(float).eps)
+    if rank == act.size:
+        return lam
+    resid = -(qp.h @ u + qp.s @ x0)
+    lam_p = right_t[:rank].T @ (left[:, :rank].T @ resid / sing[:rank])
+    null = right_t[rank:].T
+    found = _least_distance(-null, lam_p - np.clip(lam_p, -tol, 0.0))
+    if found is None:
+        return lam
+    lam_min = np.zeros(qp.m)
+    lam_min[act] = np.maximum(lam_p + null @ found[0], 0.0)
+    return lam_min
 
 
 def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
     """Dual objective 1/2 lam' G H^-1 G' lam + (G H^-1 S x0 + g + T x0)' lam.
 
-    With H = L L' and W_G = L^-1 G' (``qp.factor``), G H^-1 G' = W_G' W_G.
+    With H = L L' and W_G = L^-1 G' (``qp.factor``), the quadratic term is
+    1/2 ||W_G lam||^2.
     """
     x0 = np.asarray(x0, dtype=float)
     _, w_g, w_s = qp.factor
     q_vec = w_g.T @ (w_s @ x0) + qp.g_vec + qp.t_mat @ x0
-    return float(0.5 * lam @ (w_g.T @ w_g) @ lam + q_vec @ lam)
+    v = w_g @ lam
+    return float(0.5 * v @ v + q_vec @ lam)
 
 
 def primal_from_dual(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:

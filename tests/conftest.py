@@ -42,14 +42,18 @@ def one_dim_qp():
     )
 
 
-def duplicated_row_qp():
-    """Same problem with the constraint row duplicated (degenerate duals)."""
+def duplicated_row_qp(scales=(1.0, 1.0)):
+    """u <= -1 written once per scale c_i as c_i u <= -c_i (degenerate duals).
+
+    The optimum is u* = -1 and the minimal-norm dual is c / (c'c).
+    """
+    c = np.asarray(scales, dtype=float)
     return nm.CondensedQp(
         h=[[1.0]],
         s=[[0.0]],
-        g_mat=[[1.0], [1.0]],
-        t_mat=[[0.0], [0.0]],
-        g_vec=[-1.0, -1.0],
-        m=2,
+        g_mat=c[:, None],
+        t_mat=np.zeros((c.size, 1)),
+        g_vec=-c,
+        m=c.size,
         upsilon_rows=1,
     )

@@ -407,6 +407,26 @@ class TestCli:
         assert captured.err.startswith("error: duration")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"eps0": float("nan"), "duration": 0.1}, "eps0"),
+            ({"eta": -1, "variants": ["oracle"], "duration": 0.1}, "eta"),
+        ],
+        ids=["eps0_nan", "eta_negative"],
+    )
+    def test_network_parameters_exit_1(self, tmp_path, capsys, doc, field):
+        # checked on the config itself, also when no variant builds a network
+        # that would use the parameter
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} ")
+        assert "Traceback" not in captured.err
+        assert not (out / "report.json").exists()
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"horizonn": 2}))

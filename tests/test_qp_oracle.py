@@ -30,6 +30,7 @@ class _SolverCases:
     """Cases every exact solver must pass; subclasses set ``solve``."""
 
     solve = None
+    copies = (2, 3, 16, 17, 24)  # row counts for the duplicated-row dual
 
     def test_interior_point_unconstrained(self, cart_pole_setup):
         _, _, qp, _ = cart_pole_setup
@@ -57,9 +58,12 @@ class _SolverCases:
             _assert_kkt(qp, x0, self.solve(qp, x0))
 
     def test_minimal_norm_dual_on_duplicated_rows(self):
-        sol = self.solve(duplicated_row_qp(), np.zeros(1))
-        assert abs(sol.u[0] + 1.0) < 1e-12
-        assert np.max(np.abs(sol.lam - 0.5)) < 1e-12
+        # k scaled copies of one row: the minimal-norm dual is c / (c'c) at any k
+        for k in self.copies:
+            c = np.linspace(0.5, 2.0, k)
+            sol = self.solve(duplicated_row_qp(c), np.zeros(1))
+            assert abs(sol.u[0] + 1.0) < 1e-12
+            assert np.max(np.abs(sol.lam - c / (c @ c))) < 1e-12, f"k = {k}"
 
     def test_infeasible_problem_reported(self):
         # u <= -1 and u >= 2 simultaneously
@@ -96,6 +100,7 @@ class TestActiveSetEnumeration(_SolverCases):
 
 class TestSolveQp(_SolverCases):
     solve = staticmethod(nm.solve_qp)
+    copies = _SolverCases.copies + (40,)  # past the enumeration guard
 
     @pytest.mark.parametrize("horizon, count", [(2, 200), (3, 20)])
     def test_matches_enumeration(self, horizon, count):
@@ -122,6 +127,42 @@ class TestSolveQp(_SolverCases):
             _assert_kkt(qp, x0, sol)
             saturated += bool(sol.active)
         assert saturated > 0
+
+    @pytest.mark.parametrize("horizon", [10, 20])
+    def test_minimal_norm_dual_on_duplicated_cart_pole_rows(self, horizon):
+        # every row twice: each copy carries half the plain QP's multiplier
+        qp = _horizon_qp(horizon)
+        dup = nm.CondensedQp(
+            h=qp.h,
+            s=qp.s,
+            g_mat=np.vstack([qp.g_mat, qp.g_mat]),
+            t_mat=np.vstack([qp.t_mat, qp.t_mat]),
+            g_vec=np.tile(qp.g_vec, 2),
+            m=2 * qp.m,
+            upsilon_rows=qp.upsilon_rows,
+        )
+        x0 = np.array([0.0, 0.0, 0.45, 0.0])
+        plain = nm.solve_qp(qp, x0)
+        sol = nm.solve_qp(dup, x0)
+        assert len(sol.active) == 2 * len(plain.active) >= 14
+        assert np.max(np.abs(sol.u - plain.u)) <= 1e-9
+        scale = max(1.0, np.max(np.abs(plain.lam)))
+        assert np.max(np.abs(sol.lam - np.tile(plain.lam / 2, 2))) <= 1e-9 * scale
+
+    def test_no_constraints(self):
+        # nnls aborts the interpreter on a matrix without columns
+        qp = nm.CondensedQp(
+            h=[[2.0]],
+            s=[[1.0]],
+            g_mat=np.zeros((0, 1)),
+            t_mat=np.zeros((0, 1)),
+            g_vec=np.zeros(0),
+            m=0,
+            upsilon_rows=1,
+        )
+        sol = nm.solve_qp(qp, np.ones(1))
+        assert abs(sol.u[0] + 0.5) < 1e-15
+        assert sol.lam.shape == (0,) and sol.active == ()
 
     def test_wrong_nnls_answer_fails_kkt_check(self, cart_pole_setup, monkeypatch):
         # y = 0 is the unconstrained optimum, which breaks the input bound here
