@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not 0 <= self.eps0 < np.inf:
             raise ValueError(f"eps0 must be nonnegative and finite, got {self.eps0}")
+        if not 0 < self.settle_tol < np.inf:
+            raise ValueError(f"settle_tol must be positive and finite, got {self.settle_tol}")
         if self.q is None:
             self.q = np.diag([10.0, 1.0, 500.0, 1.0])
         if self.r is None:

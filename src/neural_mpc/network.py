@@ -21,6 +21,13 @@ m_map @ x0 + bias once.  One Euler step is a call with max_time = dt.  A
 network has settled when ||rate||_inf <= tol; the squared norm rate . rate
 decides that alone unless it lies between tol^2 and len(rate) tol^2.
 
+Silent neurons send nothing: with m = len(bias) >= 224 rectified neurons of
+which at most m/32 fire, the single layer's drive sums over the nonzero
+entries of its state alone and the multilayer's second layer over the nonzero
+relu outputs.  Below that crossover, measured on a 2-core Xeon (see
+``_SPARSE_MIN_SIZE``), the dense product is faster.  The sparse sum runs in
+another order, so its states may differ from the dense product's by rounding.
+
 The Euler step comes from the spectrum of gamma (``step_limits``).  Over every
 activation pattern the Jacobian's eigenvalues are -1 (inactive units) and
 -1 + eig(gamma_AA - eps) (active ones), which Cauchy interlacing puts at real
@@ -46,11 +53,11 @@ def relu(v: np.ndarray) -> np.ndarray:
 
 
 def _budget(eta: float, tol: float, max_time: float, dt: float | None, limits):
-    """Validated (dt, dt/eta, step count) of a settle call; dt defaults to
-    eta times the network's default step ``limits[1]``, and dt/eta must lie in
-    (0, limits[0])."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Validated (dt, dt/eta, step count) of a settle call; tol must lie in
+    (0, inf), dt defaults to eta times the network's default step
+    ``limits[1]``, dt/eta must lie in (0, limits[0]), and max_time in (0, inf)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     h_max, h = limits
     dt = h * eta if dt is None else dt
     step = dt / eta
@@ -59,6 +66,8 @@ def _budget(eta: float, tol: float, max_time: float, dt: float | None, limits):
             f"step size must satisfy 0 < dt/eta < {h_max!r}, the Euler stability "
             f"limit 2/max(1, 1 + e - lambda_min(gamma)); got dt/eta = {step}"
         )
+    if not 0.0 < max_time < np.inf:
+        raise ValueError(f"max_time must be positive and finite, got {max_time}")
     return dt, step, max(1, int(round(max_time / dt)))
 
 
@@ -83,6 +92,28 @@ def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
     return 2.0 / a, 2.0 / (a + 1.0)
 
 
+# Sparse products: a network of m neurons takes them when m >= _SPARSE_MIN_SIZE
+# and _SPARSE_MAX_SHARE * (firing count) <= m.  Measured with OpenBLAS at 2
+# threads on a 2-core Xeon, the sparse product (nonzero, column gather, product)
+# against the dense m x m one: at m <= 160 it did not win even with one
+# neuron firing (time ratio 0.9-1.5), and at m = 208 it only broke even; at
+# m = 224-256 it took 0.6-1.0 of the dense time with up to m/32 firing, and
+# 0.9-1.3 with m/16; at m = 400, 0.3-0.6 with m/32.  The cart-pole networks
+# at N = 2 (m = 12, 20 with slack) stay dense; at N = 40 (m = 240, 400 with
+# slack) a warm network fires 2 neurons per evaluation, and a cold start none.
+_SPARSE_MIN_SIZE = 224
+_SPARSE_MAX_SHARE = 32
+
+
+def _fired_dot(w, v):
+    """w @ v, summed over the nonzero entries of v alone when at most
+    len(v) / _SPARSE_MAX_SHARE of them are nonzero."""
+    on = v.nonzero()[0]
+    if _SPARSE_MAX_SHARE * len(on) <= len(v):
+        return w[:, on].dot(v[on])
+    return w.dot(v)
+
+
 def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
     """Forward Euler on  d(state)/d(t/eta) = -state + psi relu(w state - eps_k state - bias_in).
 
@@ -90,6 +121,12 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
     to the regularizer.  Each step evaluates the rate (one relu call) and stops
     before the update once ||rate||_inf <= tol.  Returns (state, settled, traj);
     ``traj`` lists the initial state and every stepped one when ``record``.
+
+    With m = len(bias_in) >= 224, ``w state`` (single layer) and ``psi
+    relu(.)`` (multilayer) sum over the nonzero presynaptic entries alone
+    whenever at most m/32 are nonzero (the crossover measured at
+    ``_SPARSE_MIN_SIZE``); the multilayer's first layer reads a signed state
+    and stays dense.
     """
     # The squared norm s = rate . rate settles a rate when s <= tol^2 and rules
     # settling out when s > n tol^2; only in between is the sup-norm taken.
@@ -100,13 +137,15 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
     min_sq = tol2 * (1.0 - 1e-9) if 1e-300 < tol2 < 1e300 else -1.0
     max_sq = len(state) * tol2 * (1.0 + 1e-9)
     traj = [state] if record else None
+    sparse = len(bias_in) >= _SPARSE_MIN_SIZE
+    sparse_w = sparse and psi is None
     for k in range(n_steps):
-        drive = w.dot(state)
+        drive = _fired_dot(w, state) if sparse_w else w.dot(state)
         if eps is not None:
             drive = drive - eps(k) * state
         rate = relu(drive - bias_in)
         if psi is not None:
-            rate = psi.dot(rate)
+            rate = _fired_dot(psi, rate) if sparse else psi.dot(rate)
         rate = rate - state
         s = rate.dot(rate)
         if s <= min_sq or (s <= max_sq and abs(rate).max() <= tol):
@@ -160,7 +199,7 @@ class FiringRateNetwork:
 
 
 def _bias_in(data: NetworkData, x0) -> np.ndarray:
-    return data.m_map @ np.asarray(x0, dtype=float) + data.bias
+    return data.m_map.dot(np.asarray(x0, dtype=float)) + data.bias
 
 
 def settle(
@@ -204,8 +243,9 @@ def extract_control(net: FiringRateNetwork, lam: np.ndarray, x0: np.ndarray) -> 
     The state-feedback term is computable with lam = 0, preserving the split
     into an offline unconstrained feedback and the online network correction.
     """
+    # Negation is exact, so this equals (-u_dual_map) @ lam - u_feedback @ x0.
     d = net.data
-    return -d.u_dual_map @ lam - d.u_feedback @ np.asarray(x0, dtype=float)
+    return -(d.u_dual_map.dot(lam) + d.u_feedback.dot(np.asarray(x0, dtype=float)))
 
 
 @dataclass
@@ -260,4 +300,4 @@ def extract_control_multilayer(
     net: MultilayerNetwork, aux: NetworkData, x0: np.ndarray
 ) -> np.ndarray:
     """Control read-out  u = omega2 @ tilde_lam - u_feedback @ x0."""
-    return net.omega2 @ net.tilde_lam - aux.u_feedback @ np.asarray(x0, dtype=float)
+    return net.omega2.dot(net.tilde_lam) - aux.u_feedback.dot(np.asarray(x0, dtype=float))

@@ -412,8 +412,11 @@ class TestCli:
         [
             ({"eps0": float("nan"), "duration": 0.1}, "eps0"),
             ({"eta": -1, "variants": ["oracle"], "duration": 0.1}, "eta"),
+            ({"settle_tol": float("nan"), "duration": 0.1}, "settle_tol"),
+            ({"settle_tol": float("inf"), "duration": 0.1}, "settle_tol"),
+            ({"settle_tol": -1, "variants": ["oracle"], "duration": 0.1}, "settle_tol"),
         ],
-        ids=["eps0_nan", "eta_negative"],
+        ids=["eps0_nan", "eta_negative", "settle_tol_nan", "settle_tol_inf", "settle_tol_negative"],
     )
     def test_network_parameters_exit_1(self, tmp_path, capsys, doc, field):
         # checked on the config itself, also when no variant builds a network

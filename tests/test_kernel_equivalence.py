@@ -7,8 +7,11 @@ once, so a settle's per-step states stay within rounding of theirs; a settle
 of k steps ends bitwise where a longer one's trajectory is after k.  The
 copied settle loops differ from the former ones only in their default step,
 which is now taken from the spectrum of gamma (``default_dt``, computed here
-on its own).
+on its own).  At N = 40 the kernel sums over firing neurons alone, in another
+order, so there the copies are matched to rounding (``TestSparsePath``).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -361,3 +364,156 @@ class TestSteps:
             old_step_multilayer(old, data, x0, 5e-5)
             scale = 1.0 + np.max(np.abs(old.tilde_lam))
             assert np.max(np.abs(new.tilde_lam - old.tilde_lam)) <= ROUNDING * scale
+
+
+# --- the sparse path at N = 40 -------------------------------------------------
+# Networks of m >= 224 neurons of which few fire sum their products over the
+# firing presynaptic neurons alone.  That sum runs in another order than the
+# dense product, so their states agree with the dense reference loops to
+# rounding, with the same flags and step counts; the N = 2 networks above
+# never take it.
+
+N40_ROUNDING = 1e-12
+
+
+@pytest.fixture(scope="module")
+def long_horizon():
+    """The N = 40 networks (m = 240; 400 with slack) and warm-start states
+    along the first 0.4 s of the oracle's closed loop from the benchmark x0."""
+    config = nm.ExperimentConfig.cart_pole_default(horizon=40)
+    _, qp, data = nm.build_problem(config)
+    sdata, _ = nm.augment_slack(qp, config.rho)
+    pert = nm.prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
+    pruned = dataclasses.replace(data, gamma=data.gamma + pert.delta)
+    loop = nm.run_experiment(dataclasses.replace(config, variants=("oracle",), duration=0.4))
+    return {
+        "data": {"single": data, "slack": sdata, "pruned": pruned},
+        "exact": _factorize(data, 480, 57_600),
+        "xs": list(loop.traces["oracle"].x[:20]),
+    }
+
+
+def firing_counts(monkeypatch):
+    """(firing count, m) of every product the kernel routes through ``_fired_dot``."""
+    seen = []
+    fired_dot = nm.network._fired_dot
+
+    def spy(w, v):
+        seen.append((np.count_nonzero(v), len(v)))
+        return fired_dot(w, v)
+
+    monkeypatch.setattr(nm.network, "_fired_dot", spy)
+    return seen
+
+
+def sparse_products(seen):
+    return sum(nm.network._SPARSE_MAX_SHARE * k <= m for k, m in seen)
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= N40_ROUNDING * max(1.0, np.max(np.abs(want)))
+
+
+def run_single_close(data, xs, warm, eps0=0.0):
+    new, old = single_pair(data, eps0)
+    for x in xs:
+        if not warm:
+            new.reset()
+            old.reset()
+        lam, settled, times, traj = nm.settle(new, x, record=True)
+        lam_old, settled_old, times_old, traj_old = old_settle(old, x, record=True)
+        assert settled is settled_old and len(times) == len(times_old)
+        assert_close(traj, traj_old)
+        assert_close(lam, lam_old)
+
+
+class TestSparsePath:
+    @pytest.mark.parametrize(
+        "kind, eps0", [("single", 0.0), ("single", 0.1), ("slack", 0.0), ("pruned", 0.0)]
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_single_layer(self, long_horizon, monkeypatch, kind, eps0, warm):
+        seen = firing_counts(monkeypatch)
+        data = long_horizon["data"][kind]
+        assert data.size >= nm.network._SPARSE_MIN_SIZE
+        run_single_close(data, long_horizon["xs"] + states(3), warm, eps0=eps0)
+        assert sparse_products(seen) > 0
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_exact_multilayer(self, long_horizon, monkeypatch, warm):
+        seen = firing_counts(monkeypatch)
+        data = long_horizon["data"]["single"]
+        steps = [0, 0]
+
+        def counting(index, fn):
+            def counted(v):
+                steps[index] += 1
+                return fn(v)
+
+            return counted
+
+        monkeypatch.setattr(nm.network, "relu", counting(0, nm.network.relu))
+        monkeypatch.setitem(globals(), "relu", counting(1, relu))
+        new, old = multi_pair(long_horizon["exact"])
+        for x in long_horizon["xs"] + states(3):
+            if not warm:
+                new.reset()
+                old.reset()
+            got = nm.settle_multilayer(new, data, x)
+            want = old_settle_multilayer(old, data, x)
+            assert got[1] is want[1] and steps[0] == steps[1]
+            assert_close(got[0], want[0])
+        assert sparse_products(seen) > 0
+
+    def test_cold_start_fires_nothing(self, long_horizon, monkeypatch):
+        # from lam = 0 the first product reads an empty firing set
+        seen = firing_counts(monkeypatch)
+        data = long_horizon["data"]["single"]
+        run_single_close(data, long_horizon["xs"][:1], warm=False)
+        assert seen[0] == (0, data.size)
+        new, old = single_pair(data)
+        x = long_horizon["xs"][0]
+        step = dict(tol=1e-300, max_time=1e-4, dt=1e-4)
+        assert_same_outcome(nm.settle(new, x, **step), old_settle(old, x, **step))
+
+    def test_dense_fallback(self, long_horizon, monkeypatch):
+        # With more than m/32 neurons firing the product is the dense one, bit
+        # for bit.  A neuron that has fired only decays geometrically, so all
+        # 16 still fire when the settle ends.
+        seen = firing_counts(monkeypatch)
+        data = long_horizon["data"]["single"]
+        lam0 = np.zeros(data.size)
+        lam0[:: data.size // 16] = 0.5
+        new, old = single_pair(data)
+        new.lam, old.lam = lam0.copy(), lam0.copy()
+        x = long_horizon["xs"][0]
+        assert_same_outcome(nm.settle(new, x, record=True), old_settle(old, x, record=True))
+        assert len(seen) > 1 and sparse_products(seen) == 0
+        assert seen[0] == (16, data.size)
+
+    def test_relu_once_per_evaluation(self, long_horizon, monkeypatch):
+        seen = firing_counts(monkeypatch)
+        calls = [0]
+
+        def counted(v, relu=nm.network.relu):
+            calls[0] += 1
+            return relu(v)
+
+        monkeypatch.setattr(nm.network, "relu", counted)
+        net = nm.FiringRateNetwork(data=long_horizon["data"]["slack"])
+        for x in long_horizon["xs"]:
+            calls[0], before = 0, len(seen)
+            _, settled, _, traj = nm.settle(net, x, record=True)
+            assert calls[0] == len(seen) - before == (len(traj) - 1) + settled
+        assert sparse_products(seen) == len(seen)
+
+    def test_small_networks_stay_dense(self, cart_pole_setup, monkeypatch):
+        config, _, qp, data = cart_pole_setup
+        seen = firing_counts(monkeypatch)
+        sdata, _ = nm.augment_slack(qp, config.rho)
+        for d in (data, sdata):
+            assert d.size < nm.network._SPARSE_MIN_SIZE
+            nm.settle(nm.FiringRateNetwork(data=d), states(0)[0])
+        assert seen == []

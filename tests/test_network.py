@@ -115,6 +115,48 @@ class TestStepGuard:
         assert np.all(net.lam == 0.0) and np.all(multi.tilde_lam == 0.0)
 
 
+class TestSettleBudget:
+    """Both entry points take tol and max_time in (0, inf) only, NaN refused:
+    an infinite tol settles at the first evaluation, a NaN one never settles,
+    and a max_time that is not positive and finite has no step count."""
+
+    @staticmethod
+    def entry_points(data):
+        net = nm.FiringRateNetwork(data=data, eta=1e-3)
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
+        )
+        calls = (
+            lambda **kw: nm.settle(net, X0, **kw),
+            lambda **kw: nm.settle_multilayer(multi, data, X0, **kw),
+        )
+        return net, multi, calls
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_rejected(self, cart_pole_setup, tol):
+        _, _, _, data = cart_pole_setup
+        net, multi, calls = self.entry_points(data)
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                call(tol=tol)
+        assert np.all(net.lam == 0.0) and np.all(multi.tilde_lam == 0.0)
+
+    @pytest.mark.parametrize("max_time", [0.0, -1.0, float("nan"), float("inf")])
+    def test_max_time_rejected(self, cart_pole_setup, max_time):
+        _, _, _, data = cart_pole_setup
+        net, multi, calls = self.entry_points(data)
+        for call in calls:
+            with pytest.raises(ValueError, match="max_time must be positive and finite"):
+                call(max_time=max_time)
+        assert np.all(net.lam == 0.0) and np.all(multi.tilde_lam == 0.0)
+
+    def test_short_max_time_takes_one_step(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        net, _, _ = self.entry_points(data)
+        _, settled, _, traj = nm.settle(net, X0, tol=1e-300, max_time=1e-9, record=True)
+        assert not settled and len(traj) == 2
+
+
 class TestParameters:
     """Construction rejects a time constant that is not positive and a
     regularizer that is negative or not finite, NaN included."""
