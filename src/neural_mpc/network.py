@@ -28,6 +28,17 @@ relu outputs.  Below that crossover, measured on a 2-core Xeon (see
 ``_SPARSE_MIN_SIZE``), the dense product is faster.  The sparse sum runs in
 another order, so its states may differ from the dense product's by rounding.
 
+A warm network keeps its recurrent input.  A settle that ends settled has
+already evaluated w @ state for the state it returns (w = gamma, or omega1),
+so the network keeps that product, keyed by the identities of the state and of
+w, and the next settle's first evaluation reuses it when both are the same
+objects; anything else (``reset()``, an assigned state, a replaced weight, an
+unsettled return) recomputes it.  The state a settle stores is read-only, so
+it cannot be edited in place under a kept product.  A multilayer first layer
+that is exactly the square identity (``identity_layer_init``'s) is a wire: its
+output is the state itself.  Either way the states, flags and step counts are
+bitwise those of computing every product.
+
 The Euler step comes from the spectrum of gamma (``step_limits``).  Over every
 activation pattern the Jacobian's eigenvalues are -1 (inactive units) and
 -1 + eig(gamma_AA - eps) (active ones), which Cauchy interlacing puts at real
@@ -78,16 +89,23 @@ def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
     Jacobian's fastest mode over every activation pattern, with e = eps0 for a
     ``FiringRateNetwork`` and e = ||omega1 psi - aux.gamma||_F for a
     ``MultilayerNetwork`` (``aux`` is the NetworkData it integrates against;
-    e is kept for the last aux).  A step must lie below the limit; the default
-    contracts the fastest mode and the decay of inactive units alike, by
-    (a - 1)/(a + 1).
+    e is kept for the last aux and factor objects).  A step must lie below the
+    limit; the default contracts the fastest mode and the decay of inactive
+    units alike, by (a - 1)/(a + 1).
     """
     if isinstance(net, FiringRateNetwork):
         lambda_min, e = net.data.lambda_min, net.eps0
     else:
-        if net._step_cache is None or net._step_cache[0] is not aux:
-            net._step_cache = (aux, float(np.linalg.norm(net.omega1.dot(net.psi) - aux.gamma)))
-        lambda_min, e = aux.lambda_min, net._step_cache[1]
+        kept = net._step_cache
+        fresh = kept is None or kept[0] is not aux
+        if fresh or kept[1] is not net.omega1 or kept[2] is not net.psi:
+            if aux.size != net.omega1.shape[0]:
+                raise ValueError(
+                    f"aux has {aux.size} neurons but omega1 has {net.omega1.shape[0]} rows"
+                )
+            e = float(np.linalg.norm(net.omega1.dot(net.psi) - aux.gamma))
+            net._step_cache = kept = (aux, net.omega1, net.psi, e)
+        lambda_min, e = aux.lambda_min, kept[3]
     a = max(1.0, 1.0 + e - lambda_min)
     return 2.0 / a, 2.0 / (a + 1.0)
 
@@ -114,13 +132,17 @@ def _fired_dot(w, v):
     return w.dot(v)
 
 
-def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
+def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False, product=None):
     """Forward Euler on  d(state)/d(t/eta) = -state + psi relu(w state - eps_k state - bias_in).
 
-    ``psi is None`` is the single layer (psi = I); ``eps`` maps the step index
-    to the regularizer.  Each step evaluates the rate (one relu call) and stops
-    before the update once ||rate||_inf <= tol.  Returns (state, settled, traj);
-    ``traj`` lists the initial state and every stepped one when ``record``.
+    ``psi is None`` is the single layer (psi = I), ``w is None`` an identity
+    first layer (w state = state); ``eps`` maps the step index to the
+    regularizer.  ``product`` is w @ state for the initial state when the
+    caller already has it.  Each step evaluates the rate (one relu call) and
+    stops before the update once ||rate||_inf <= tol.  Returns (state, settled,
+    traj, product): ``traj`` lists the initial state and every stepped one when
+    ``record``, and ``product`` is w @ state of the returned state when
+    settled, None when the budget ran out.
 
     With m = len(bias_in) >= 224, ``w state`` (single layer) and ``psi
     relu(.)`` (multilayer) sum over the nonzero presynaptic entries alone
@@ -140,20 +162,42 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
     sparse = len(bias_in) >= _SPARSE_MIN_SIZE
     sparse_w = sparse and psi is None
     for k in range(n_steps):
-        drive = _fired_dot(w, state) if sparse_w else w.dot(state)
-        if eps is not None:
-            drive = drive - eps(k) * state
+        if product is None:
+            if w is None:
+                product = state
+            else:
+                product = _fired_dot(w, state) if sparse_w else w.dot(state)
+        drive = product if eps is None else product - eps(k) * state
         rate = relu(drive - bias_in)
         if psi is not None:
             rate = _fired_dot(psi, rate) if sparse else psi.dot(rate)
         rate = rate - state
         s = rate.dot(rate)
         if s <= min_sq or (s <= max_sq and abs(rate).max() <= tol):
-            return state, True, traj
+            return state, True, traj, product
         state = state + step * rate
+        product = None
         if record:
             traj.append(state)
-    return state, False, traj
+    return state, False, traj, None
+
+
+def _resume(net, w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
+    """``_euler`` from ``state``, first reusing the product w @ state that the
+    network's last settle kept when it ended settled on this very state and w.
+    Marks the returned state read-only and keeps its product (if settled) in
+    ``net._kept``; returns (state, settled, traj)."""
+    kept = net._kept
+    hit = kept is not None and kept[0] is state and kept[1] is w
+    new, settled, traj, product = _euler(
+        w, psi, state, bias_in, step, n_steps, tol, eps, record, kept[2] if hit else None
+    )
+    # Settled at once from a kept state: that state is read-only and its entry
+    # still holds (marking an array read-only costs about a 12 x 12 product).
+    if not (hit and new is state):
+        new.flags.writeable = False
+        net._kept = None if product is None else (new, w, product)
+    return new, settled, traj
 
 
 @dataclass
@@ -161,7 +205,8 @@ class FiringRateNetwork:
     """Single-layer firing-rate network with mutable state ``lam``.
 
     Its Euler step limits come from ``data.lambda_min`` and ``eps0``
-    (``step_limits``).
+    (``step_limits``).  ``settle`` stores a read-only ``lam``; assign a new
+    array to change it.
 
     Parameters
     ----------
@@ -178,6 +223,8 @@ class FiringRateNetwork:
     eta: float = 1e-3
     eps0: float = 0.0
     lam: np.ndarray = field(default=None)  # type: ignore[assignment]
+    # (lam, gamma, gamma @ lam) after a settle that ended settled
+    _kept: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -228,8 +275,8 @@ def settle(
     """
     dt, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net))
     eps = (lambda k: net.epsilon(k * dt)) if net.eps0 else None
-    lam, settled, traj = _euler(
-        net.data.gamma, None, net.lam, _bias_in(net.data, x0), step, n_steps, tol, eps, record
+    lam, settled, traj = _resume(
+        net, net.data.gamma, None, net.lam, _bias_in(net.data, x0), step, n_steps, tol, eps, record
     )
     net.lam = lam
     if record:
@@ -253,8 +300,11 @@ class MultilayerNetwork:
     """Two-layer realization with hidden state ``tilde_lam`` (sign-unconstrained).
 
     Its Euler step limits read e = ||omega1 psi - aux.gamma||_F, computed on
-    first use with a given ``aux`` and kept (``step_limits``), so the factors
-    must not change after that.
+    first use with a given ``aux`` and factors and kept (``step_limits``), and
+    whether omega1 is exactly the identity is decided once per omega1 object,
+    so the factors may be replaced but not edited in place.
+    ``settle_multilayer`` stores a read-only ``tilde_lam``; assign a new array
+    to change it.
     """
 
     omega1: np.ndarray
@@ -263,7 +313,10 @@ class MultilayerNetwork:
     eta: float = 1e-3
     residual: float = 0.0
     tilde_lam: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _step_cache: tuple = field(default=None, init=False, repr=False, compare=False)  # (aux, e)
+    # (aux, omega1, psi, e), (omega1, omega1 or None) and (state, w, w @ state)
+    _step_cache: tuple = field(default=None, init=False, repr=False, compare=False)
+    _wire: tuple = field(default=None, init=False, repr=False, compare=False)
+    _kept: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -271,6 +324,10 @@ class MultilayerNetwork:
         k = self.psi.shape[0]
         if self.omega1.shape[1] != k or self.omega2.shape[1] != k:
             raise ValueError("omega1/omega2 column counts must match psi rows")
+        if self.psi.shape[1] != self.omega1.shape[0]:
+            raise ValueError(
+                f"psi has {self.psi.shape[1]} columns but omega1 has {self.omega1.shape[0]} rows"
+            )
         if self.tilde_lam is None:
             self.tilde_lam = np.zeros(k)
         else:
@@ -278,6 +335,15 @@ class MultilayerNetwork:
 
     def reset(self):
         self.tilde_lam = np.zeros(self.psi.shape[0])
+
+    def _first_layer(self):
+        """omega1, or None when it is exactly the square identity: then the
+        state is the first layer's output.  Decided once per omega1 object."""
+        if self._wire is None or self._wire[0] is not self.omega1:
+            w = self.omega1
+            wire = w.shape[0] == w.shape[1] and np.array_equal(w, np.eye(len(w)))
+            self._wire = (w, None if wire else w)
+        return self._wire[1]
 
 
 def settle_multilayer(
@@ -288,10 +354,14 @@ def settle_multilayer(
     max_time: float = 0.02,
     dt: float | None = None,
 ):
-    """Integrate the multilayer dynamics until quiescent; returns (state, settled)."""
+    """Integrate the multilayer dynamics until quiescent; returns (state, settled).
+
+    ``aux`` must have as many neurons as omega1 has rows (``ValueError``)."""
     _, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net, aux))
     bias_in = _bias_in(aux, x0)
-    state, settled, _ = _euler(net.omega1, net.psi, net.tilde_lam, bias_in, step, n_steps, tol)
+    state, settled, _ = _resume(
+        net, net._first_layer(), net.psi, net.tilde_lam, bias_in, step, n_steps, tol
+    )
     net.tilde_lam = state
     return state, settled
 

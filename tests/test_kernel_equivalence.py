@@ -406,6 +406,31 @@ def firing_counts(monkeypatch):
     return seen
 
 
+def spy_euler(monkeypatch):
+    """Whether each kernel call was handed a kept product."""
+    handed = []
+    euler = nm.network._euler
+
+    def spy(*args):
+        handed.append(args[-1] is not None)
+        return euler(*args)
+
+    monkeypatch.setattr(nm.network, "_euler", spy)
+    return handed
+
+
+def count_relu(monkeypatch):
+    calls = [0]
+    relu = nm.network.relu
+
+    def counted(v):
+        calls[0] += 1
+        return relu(v)
+
+    monkeypatch.setattr(nm.network, "relu", counted)
+    return calls
+
+
 def sparse_products(seen):
     return sum(nm.network._SPARSE_MAX_SHARE * k <= m for k, m in seen)
 
@@ -495,18 +520,17 @@ class TestSparsePath:
 
     def test_relu_once_per_evaluation(self, long_horizon, monkeypatch):
         seen = firing_counts(monkeypatch)
-        calls = [0]
-
-        def counted(v, relu=nm.network.relu):
-            calls[0] += 1
-            return relu(v)
-
-        monkeypatch.setattr(nm.network, "relu", counted)
+        calls = count_relu(monkeypatch)
         net = nm.FiringRateNetwork(data=long_horizon["data"]["slack"])
+        # a call that starts from the state the last one returned settled
+        # reuses that call's final product
+        reused = False
         for x in long_horizon["xs"]:
             calls[0], before = 0, len(seen)
             _, settled, _, traj = nm.settle(net, x, record=True)
-            assert calls[0] == len(seen) - before == (len(traj) - 1) + settled
+            assert calls[0] == (len(traj) - 1) + settled
+            assert len(seen) - before == calls[0] - reused
+            reused = settled
         assert sparse_products(seen) == len(seen)
 
     def test_small_networks_stay_dense(self, cart_pole_setup, monkeypatch):
@@ -517,3 +541,180 @@ class TestSparsePath:
             assert d.size < nm.network._SPARSE_MIN_SIZE
             nm.settle(nm.FiringRateNetwork(data=d), states(0)[0])
         assert seen == []
+
+
+# --- the kept product ----------------------------------------------------------
+# A settle that ends settled keeps w @ state for the state it returns, and the
+# next settle from that same state object and weight starts from it.  Handing
+# each call a copy of the state defeats the reuse; both runs must agree bit for
+# bit, relu calls included.
+
+
+@pytest.fixture(scope="module", params=[2, 40])
+def warm_networks(request):
+    """Every network of one horizon and a warm closed-loop sequence of states:
+    20 samples of the oracle's loop from the benchmark x0, then 3 jumps."""
+    horizon = request.param
+    config = nm.ExperimentConfig.cart_pole_default(horizon=horizon)
+    _, qp, data = nm.build_problem(config)
+    sdata, _ = nm.augment_slack(qp, config.rho)
+    pert = nm.prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
+    exact = (config.s_omega, config.s_psi) if horizon == 2 else (480, 57_600)
+    loop = nm.run_experiment(dataclasses.replace(config, variants=("oracle",), duration=0.4))
+    return {
+        "horizon": horizon,
+        "data": {
+            "single": data,
+            "slack": sdata,
+            "pruned": dataclasses.replace(data, gamma=data.gamma + pert.delta),
+        },
+        "exact": _factorize(data, *exact),
+        "approx": _factorize(data, config.s_omega_approx, config.s_psi_approx),
+        "xs": list(loop.traces["oracle"].x[:20]) + states(3),
+    }
+
+
+def make_network(nets, kind):
+    """(network, settle call, state attribute) of one variant."""
+    data = nets["data"]["single"]
+    if kind in ("exact", "approx"):
+        fac = nets[kind]
+        net = nm.MultilayerNetwork(omega1=fac["omega1"], omega2=fac["omega2"], psi=fac["psi"])
+        return net, lambda x: nm.settle_multilayer(net, data, x), "tilde_lam"
+    eps0 = 0.1 if kind == "eps" else 0.0
+    net = nm.FiringRateNetwork(data=nets["data"].get(kind, data), eps0=eps0)
+    return net, lambda x: nm.settle(net, x, record=True), "lam"
+
+
+def warm_run(nets, kind, copy, calls):
+    """Outcome and relu count of each call of a warm sequence."""
+    net, call, attr = make_network(nets, kind)
+    out = []
+    for x in nets["xs"]:
+        if copy:
+            setattr(net, attr, getattr(net, attr).copy())
+        calls[0] = 0
+        out.append((call(x), calls[0]))
+    return out
+
+
+class TestKeptProduct:
+    @pytest.mark.parametrize("kind", ["single", "eps", "slack", "pruned", "exact", "approx"])
+    def test_bitwise_against_recomputed(self, warm_networks, monkeypatch, kind):
+        handed = spy_euler(monkeypatch)
+        calls = count_relu(monkeypatch)
+        kept = warm_run(warm_networks, kind, copy=False, calls=calls)
+        assert any(handed)
+        handed.clear()
+        fresh = warm_run(warm_networks, kind, copy=True, calls=calls)
+        assert not any(handed)
+        for (got, got_calls), (want, want_calls) in zip(kept, fresh):
+            assert_same_outcome(got, want)
+            assert got_calls == want_calls
+
+    def test_hits_and_misses(self, cart_pole_setup, factors, monkeypatch):
+        _, _, _, data = cart_pole_setup
+        handed = spy_euler(monkeypatch)
+        x = states(0)[0]
+        single = nm.FiringRateNetwork(data=data)
+        multi, _ = multi_pair(factors["approx"])
+
+        def settles(net, **kwargs):
+            handed.clear()
+            if isinstance(net, nm.FiringRateNetwork):
+                ok = nm.settle(net, x, **kwargs)[1]
+            else:
+                ok = nm.settle_multilayer(net, data, x, **kwargs)[1]
+            return handed[0], ok
+
+        for net, attr in ((single, "lam"), (multi, "tilde_lam")):
+            assert settles(net) == (False, True)
+            assert settles(net) == (True, True)  # warm, settled: reused
+            net.reset()
+            assert settles(net) == (False, True)
+            setattr(net, attr, getattr(net, attr).copy())
+            assert settles(net) == (False, True)
+            assert settles(net, tol=1e-300, max_time=1e-4) == (True, False)
+            assert settles(net) == (False, True)  # after an unsettled return
+        single.data = dataclasses.replace(data, gamma=data.gamma.copy())
+        assert settles(single) == (False, True)
+        multi.omega1 = multi.omega1.copy()
+        assert settles(multi) == (False, True)
+
+    def test_replaced_weight_is_used(self, cart_pole_setup, factors):
+        # a stale product would drive the new network with the old weights
+        _, _, _, data = cart_pole_setup
+        x = states(0)[0]
+        net = nm.FiringRateNetwork(data=data)
+        nm.settle(net, x)
+        net.data = dataclasses.replace(data, gamma=0.5 * data.gamma)
+        want = nm.FiringRateNetwork(data=net.data, lam=net.lam)
+        assert_same_outcome(nm.settle(net, x), nm.settle(want, x))
+        fac = factors["approx"]
+        multi, want = multi_pair(fac)
+        nm.settle_multilayer(multi, data, x)
+        multi.omega1 = want.omega1 = 0.5 * fac["omega1"]
+        want.tilde_lam = multi.tilde_lam
+        got = nm.settle_multilayer(multi, data, x)
+        assert_same_outcome(got, nm.settle_multilayer(want, data, x))
+
+    def test_stored_state_is_read_only(self, cart_pole_setup, factors):
+        _, _, _, data = cart_pole_setup
+        x = states(0)[0]
+        single = nm.FiringRateNetwork(data=data)
+        lam, _ = nm.settle(single, x)
+        assert lam is single.lam
+        with pytest.raises(ValueError):
+            single.lam[0] = 1.0
+        multi, _ = multi_pair(factors["exact"])
+        nm.settle_multilayer(multi, data, x)
+        with pytest.raises(ValueError):
+            multi.tilde_lam[0] = 1.0
+        # an unsettled return is read-only too
+        nm.settle(single, x, tol=1e-300, max_time=1e-4)
+        assert not single.lam.flags.writeable
+
+
+# --- the identity first layer ----------------------------------------------------
+# An omega1 that is exactly the square identity is a wire: the first layer's
+# output is the state itself.  I @ state adds only exact zeros, so forcing the
+# dense product must give the same bits.
+
+
+class TestIdentityWire:
+    def test_exact_factors_are_wired(self, warm_networks):
+        omega1 = warm_networks["exact"]["omega1"]
+        assert np.array_equal(omega1, np.eye(len(omega1)))
+        net, _, _ = make_network(warm_networks, "exact")
+        assert net._first_layer() is None
+        approx, _, _ = make_network(warm_networks, "approx")
+        assert approx._first_layer() is approx.omega1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bitwise_against_dense_product(self, warm_networks, monkeypatch, warm):
+        calls = count_relu(monkeypatch)
+        data = warm_networks["data"]["single"]
+        wired, _, _ = make_network(warm_networks, "exact")
+        dense, _, _ = make_network(warm_networks, "exact")
+        dense._wire = (dense.omega1, dense.omega1)
+        for x in warm_networks["xs"]:
+            if not warm:
+                wired.reset()
+                dense.reset()
+            calls[0] = 0
+            got = nm.settle_multilayer(wired, data, x)
+            got_calls, calls[0] = calls[0], 0
+            assert_same_outcome(got, nm.settle_multilayer(dense, data, x))
+            assert got_calls == calls[0]
+
+    def test_decided_per_omega1(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        m = data.size
+        net = nm.MultilayerNetwork(omega1=np.eye(m), omega2=-data.u_dual_map, psi=data.gamma)
+        assert net._first_layer() is None
+        net.omega1 = np.eye(m) + 1e-300
+        assert net._first_layer() is net.omega1
+        rect = nm.MultilayerNetwork(
+            omega1=np.eye(m, m + 1), omega2=np.zeros((1, m + 1)), psi=np.eye(m + 1, m)
+        )
+        assert rect._first_layer() is rect.omega1

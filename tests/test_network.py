@@ -468,6 +468,33 @@ class TestMultilayer:
         nm.settle_multilayer(multi, data, np.array([0.3, 0, 0.15, 0]), max_time=0.05)
         assert np.min(multi.tilde_lam) < 0.0
 
+    def test_psi_columns_must_match_omega1_rows(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        m = data.size
+        with pytest.raises(ValueError, match=f"psi has {m + 1} columns but omega1 has {m} rows"):
+            nm.MultilayerNetwork(omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(m, m + 1))
+
+    def test_aux_size_must_match_omega1_rows(self, cart_pole_setup, monkeypatch):
+        config, _, qp, data = cart_pole_setup
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size)
+        )
+        sdata, _ = nm.augment_slack(qp, config.rho)
+        with pytest.raises(ValueError, match=f"aux has {sdata.size} neurons but omega1 has 12 rows"):
+            nm.settle_multilayer(multi, sdata, X0)
+        assert nm.settle_multilayer(multi, data, X0, max_time=0.2)[1]
+        # checked only when the kept step limits are refreshed for a new aux
+        norm = np.linalg.norm
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        nm.settle_multilayer(multi, data, X0)
+        assert calls[0] == 0
+
 
 class TestInvariants:
     def test_orthant_forward_invariance(self, cart_pole_setup):
