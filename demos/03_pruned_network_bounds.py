@@ -39,11 +39,3 @@ print(f"  min margin         : {entry['min_margin']:.3e} (sound iff >= 0)")
 pair = result.report["pairwise"]["single_layer|perturbed"]
 print(f"  trajectory deviation: control {pair['max_control_deviation']:.2e}, "
       f"state {pair['max_state_deviation']:.2e}")
-
-# sparse redesign: soft-threshold + contraction shift + norm ball
-redesign = nm.redesign_sparse(data.gamma, gamma_tol=1.0, tau=0.01)
-print("\nsparse redesign (tau 0.01, norm budget 1.0):")
-print(f"  nonzeros           : {np.count_nonzero(data.gamma)} -> "
-      f"{np.count_nonzero(data.gamma + redesign.delta)}")
-print(f"  contracting        : {redesign.contracting} (mu={redesign.mu:.6f})")
-print(f"  |delta|            : {np.linalg.norm(redesign.delta, 2):.4f} <= 1.0")

@@ -8,14 +8,12 @@ removes the weak state-row couplings entirely.  Degree distributions summarize
 these differences, and graphs export deterministically to JSON or DOT.
 """
 
-import numpy as np
-
 import neural_mpc as nm
 
 
 def describe(name, graph):
     in_hist, out_hist = nm.degree_distributions(graph)
-    print(f"  {name:14s}: {len(graph.edges):3d} edges, "
+    print(f"  {name:14s}: {len(graph.src):3d} edges, "
           f"{in_hist[0]:2d} nodes with no incoming edge, "
           f"in-degree histogram {list(in_hist)}")
 
@@ -44,9 +42,9 @@ print("\n".join(dot.splitlines()[:6]) + "\n  ...")
 payload = nm.export_graph(graph, "json")
 back = nm.import_graph(payload)
 print(f"\nJSON round trip: {len(payload)} bytes, "
-      f"{'exact' if back.edges == graph.edges else 'MISMATCH'}")
+      f"{'exact' if back == graph else 'MISMATCH'}")
 
 in_hist, out_hist = nm.degree_distributions(graph)
-edges = len(graph.edges)
+edges = len(graph.src)
 print(f"handshake identity: sum(k * in[k]) = {sum(k * c for k, c in enumerate(in_hist))} "
       f"= sum(k * out[k]) = {sum(k * c for k, c in enumerate(out_hist))} = {edges} edges")

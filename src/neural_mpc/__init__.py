@@ -25,13 +25,11 @@ from .condenser import (
     StateConstraint,
     augment_slack,
     build_network,
-    build_prediction_matrices,
     condense,
 )
 from .factorizer import (
     FactorizationProblem,
     factorization_residual,
-    hard_threshold,
     identity_layer_init,
     palm_factorize,
     split_factors,
@@ -52,29 +50,21 @@ from .network import (
     MultilayerNetwork,
     extract_control,
     extract_control_multilayer,
-    relu,
     settle,
     settle_multilayer,
     step_limits,
 )
 from .perturber import (
     Perturbation,
-    check_contraction,
     control_deviation_bound,
-    envelope_violation,
-    forcing_term,
     prune_edges,
-    redesign_sparse,
 )
 from .plant import (
     CartPoleParams,
     DiscretePlant,
     PlantModel,
     cart_pole_model,
-    cart_pole_rhs,
-    dare_residual,
     discretize_zoh,
-    lqr_gain,
     propagate_linear,
     propagate_nonlinear_cartpole,
     solve_dare,
@@ -83,9 +73,6 @@ from .qp_oracle import (
     InfeasibleProblem,
     KktCheckError,
     QpSolution,
-    dual_objective,
-    primal_from_dual,
-    solve_active_set_enumeration,
     solve_qp,
 )
 

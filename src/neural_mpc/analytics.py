@@ -37,11 +37,6 @@ class NetworkGraph:
         if len(self.node_labels) != self.node_count:
             raise ValueError("node_labels length must equal node_count")
 
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        """The edges as (from, to, weight) tuples, built on each access."""
-        return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, NetworkGraph):
             return NotImplemented

@@ -51,20 +51,12 @@ class FactorizationProblem:
             raise ValueError("beta1 and beta2 must exceed 1")
 
 
-def hard_threshold(mat: np.ndarray, s: int) -> np.ndarray:
-    """Keep the s largest-magnitude entries, zeroing the rest.
-
-    Ties are broken by row-major scan order (earliest entries kept).
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    mat = np.asarray(mat, dtype=float)
-    out = _hard_threshold(mat, s)
-    return mat.copy() if out is mat else out
-
-
 def _hard_threshold(mat: np.ndarray, s: int) -> np.ndarray:
-    """``hard_threshold`` of a float array for s >= 0; returns ``mat`` itself if s >= its size."""
+    """Keep the s >= 0 largest-magnitude entries of a float array, zeroing the rest.
+
+    Ties are broken by row-major scan order (earliest entries kept); returns
+    ``mat`` itself when s >= its size.
+    """
     if s >= mat.size:
         return mat
     flat = mat.ravel()

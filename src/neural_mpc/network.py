@@ -63,6 +63,13 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _check_size(name: str, state: np.ndarray, size: int, unit: str) -> None:
+    """ValueError unless ``state`` is a vector of ``size`` entries."""
+    if state.shape != (size,):
+        got = f"{len(state)} entries" if state.ndim == 1 else f"shape {state.shape}"
+        raise ValueError(f"{name} has {got} but the network has {size} {unit}")
+
+
 def _budget(eta: float, tol: float, max_time: float, dt: float | None, limits):
     """Validated (dt, dt/eta, step count) of a settle call; tol must lie in
     (0, inf), dt defaults to eta times the network's default step
@@ -206,7 +213,8 @@ class FiringRateNetwork:
 
     Its Euler step limits come from ``data.lambda_min`` and ``eps0``
     (``step_limits``).  ``settle`` stores a read-only ``lam``; assign a new
-    array to change it.
+    array of ``data.size`` entries to change it (any other length raises
+    ``ValueError`` at construction or at the next ``settle``).
 
     Parameters
     ----------
@@ -235,6 +243,7 @@ class FiringRateNetwork:
             self.lam = np.zeros(self.data.size)
         else:
             self.lam = np.asarray(self.lam, dtype=float).copy()
+            _check_size("lam", self.lam, self.data.size, "neurons")
 
     def reset(self):
         """Cold start: zero the firing rates."""
@@ -273,6 +282,7 @@ def settle(
     (lam, settled) or (lam, settled, times, traj) when ``record`` is True;
     ``times`` are in seconds and ``traj`` has one row of lam per step.
     """
+    _check_size("lam", net.lam, net.data.size, "neurons")
     dt, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net))
     eps = (lambda k: net.epsilon(k * dt)) if net.eps0 else None
     lam, settled, traj = _resume(
@@ -304,7 +314,8 @@ class MultilayerNetwork:
     whether omega1 is exactly the identity is decided once per omega1 object,
     so the factors may be replaced but not edited in place.
     ``settle_multilayer`` stores a read-only ``tilde_lam``; assign a new array
-    to change it.
+    of ``psi.shape[0]`` entries to change it (any other length raises
+    ``ValueError`` at construction or at the next ``settle_multilayer``).
     """
 
     omega1: np.ndarray
@@ -332,6 +343,7 @@ class MultilayerNetwork:
             self.tilde_lam = np.zeros(k)
         else:
             self.tilde_lam = np.asarray(self.tilde_lam, dtype=float).copy()
+            _check_size("tilde_lam", self.tilde_lam, k, "hidden units")
 
     def reset(self):
         self.tilde_lam = np.zeros(self.psi.shape[0])
@@ -357,6 +369,7 @@ def settle_multilayer(
     """Integrate the multilayer dynamics until quiescent; returns (state, settled).
 
     ``aux`` must have as many neurons as omega1 has rows (``ValueError``)."""
+    _check_size("tilde_lam", net.tilde_lam, net.psi.shape[0], "hidden units")
     _, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net, aux))
     bias_in = _bias_in(aux, x0)
     state, settled, _ = _resume(

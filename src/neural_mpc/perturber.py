@@ -31,8 +31,6 @@ class Perturbation:
     delta: np.ndarray
     mu: float
     contracting: bool
-    metric: str = "identity"
-    gamma_tol: float | None = None
 
 
 def check_contraction(w: np.ndarray) -> tuple[bool, float]:
@@ -118,65 +116,3 @@ def control_deviation_bound(
     return term_state + gain / (1.0 - mu) * forcing_term(
         data.m_map, delta, x0_1, x0_2, lambda1_traj
     )
-
-
-def envelope_violation(
-    times: np.ndarray,
-    lambda1_traj: np.ndarray,
-    lambda2_traj: np.ndarray,
-    mu: float,
-    forcing: float,
-) -> float:
-    """Worst excess of the measured dual difference over its decay envelope.
-
-    Evaluates exp(-(1-mu) t) ||lam1(0) - lam2(0)||
-    + ((1 - exp(-(1-mu) t)) / (1-mu)) * forcing on the common grid and returns
-    max_t (||lam1(t) - lam2(t)|| - envelope(t)), which is <= 0 (up to
-    integration tolerance) when the contraction certificate is valid.  ``times``
-    must be in units of the network time constant, since the dynamics decay at
-    rate (1 - mu) per time constant.
-    """
-    times = np.asarray(times, dtype=float)
-    lambda1_traj = np.atleast_2d(np.asarray(lambda1_traj, dtype=float))
-    lambda2_traj = np.atleast_2d(np.asarray(lambda2_traj, dtype=float))
-    if lambda1_traj.shape != lambda2_traj.shape or len(times) != lambda1_traj.shape[0]:
-        raise ValueError("trajectories must share one common time grid")
-    diffs = np.linalg.norm(lambda1_traj - lambda2_traj, axis=1)
-    rate = 1.0 - mu
-    decay = np.exp(-rate * times)
-    if rate == 0.0:
-        growth = times
-    else:
-        growth = -np.expm1(-rate * times) / rate
-    envelope = decay * diffs[0] + growth * forcing
-    return float(np.max(diffs - envelope))
-
-
-def redesign_sparse(gamma: np.ndarray, gamma_tol: float, tau: float) -> Perturbation:
-    """Heuristic sparse redesign of a symmetric synaptic matrix.
-
-    Soft-thresholds the off-diagonal entries at level tau (promoting sparsity
-    of the redesigned matrix), symmetrizes, shifts the diagonal down just
-    enough to certify contraction, then scales the perturbation back onto the
-    ball ||delta||_2 <= gamma_tol if exceeded.  Because the symmetric-part
-    abscissa is convex and the unperturbed matrix satisfies alpha <= 1, the
-    scaled result stays contracting whenever gamma_tol > 0; gamma_tol = 0
-    forces the zero perturbation.
-    """
-    if gamma_tol < 0 or tau < 0:
-        raise ValueError("gamma_tol and tau must be nonnegative")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.linalg.norm(gamma - gamma.T, "fro") > 1e-8 * max(1.0, np.linalg.norm(gamma, "fro")):
-        raise ValueError("redesign_sparse expects a symmetric matrix")
-    w = np.sign(gamma) * np.maximum(np.abs(gamma) - tau, 0.0)
-    np.fill_diagonal(w, gamma.diagonal())
-    w = 0.5 * (w + w.T)
-    alpha_sym = float(np.max(np.linalg.eigvalsh(w)))
-    shift = max(alpha_sym - 1.0 + 1e-6, 0.0)
-    w[np.diag_indices(gamma.shape[0])] -= shift
-    delta = w - gamma
-    norm = float(np.linalg.norm(delta, 2))
-    if norm > gamma_tol:
-        delta = delta * (gamma_tol / norm) if gamma_tol > 0 else np.zeros_like(delta)
-    contracting, mu = check_contraction(gamma + delta)
-    return Perturbation(delta=delta, mu=mu, contracting=contracting, gamma_tol=gamma_tol)

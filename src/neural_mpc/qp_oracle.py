@@ -6,8 +6,7 @@ Lawson-Hanson NNLS call, which terminates finitely at any horizon, and refuses
 any answer that fails its own KKT check; a second such solve picks the
 minimal-norm dual when the active rows are rank-deficient.  The brute-force
 active-set enumeration, which visits every candidate active set (m <= 24),
-cross-checks it in the tests; the networks' own projected-gradient flow
-(``settle``) is checked against both through ``dual_objective``.
+cross-checks it in the tests.
 """
 
 from __future__ import annotations
@@ -213,22 +212,3 @@ def _minimal_norm_dual(qp, x0, u, lam, slack, tol: float) -> np.ndarray:
     lam_min = np.zeros(qp.m)
     lam_min[act] = np.maximum(lam_p + null @ found[0], 0.0)
     return lam_min
-
-
-def dual_objective(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> float:
-    """Dual objective 1/2 lam' G H^-1 G' lam + (G H^-1 S x0 + g + T x0)' lam.
-
-    With H = L L' and W_G = L^-1 G' (``qp.factor``), the quadratic term is
-    1/2 ||W_G lam||^2.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    _, w_g, w_s = qp.factor
-    q_vec = w_g.T @ (w_s @ x0) + qp.g_vec + qp.t_mat @ x0
-    v = w_g @ lam
-    return float(0.5 * v @ v + q_vec @ lam)
-
-
-def primal_from_dual(qp: CondensedQp, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Stationarity recovery  u = -H^-1 (G' lam + S x0) = -L^-T (W_G lam + W_S x0)."""
-    low, w_g, w_s = qp.factor
-    return -np.linalg.solve(low.T, w_g @ lam + w_s @ np.asarray(x0, dtype=float))

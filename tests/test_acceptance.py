@@ -12,7 +12,7 @@ import pytest
 
 import neural_mpc as nm
 
-from conftest import duplicated_row_qp
+from conftest import duplicated_row_qp, primal_from_dual
 
 
 def _report(name, ok, detail):
@@ -82,7 +82,7 @@ def test_criterion_2_lqr_recovery(cart_pole_setup):
         ),
     )
     data = nm.build_network(nm.condense(relaxed))
-    k_lqr = nm.lqr_gain(
+    k_lqr = nm.plant.lqr_gain(
         problem.plant.a, problem.plant.b, problem.q, problem.r, problem.p_term
     )
     rng = np.random.default_rng(0)
@@ -109,7 +109,7 @@ def _criterion_3(config, qp, data):
         lam, settled = nm.settle(
             net, x, tol=config.settle_tol, max_time=config.ts
         )
-        u_full = nm.primal_from_dual(qp, x, lam)
+        u_full = primal_from_dual(qp, x, lam)
         if settled:
             settled_count += 1
             slack = qp.g_vec + qp.t_mat @ x - qp.g_mat @ u_full
@@ -225,13 +225,13 @@ def test_criterion_8_structure_analytics(cart_pole_setup, benchmark_result):
     handshake = True
     for graph in result.graphs.values():
         in_hist, out_hist = nm.degree_distributions(graph)
-        edges = len(graph.edges)
+        edges = len(graph.src)
         handshake &= sum(k * c for k, c in enumerate(in_hist)) == edges
         handshake &= sum(k * c for k, c in enumerate(out_hist)) == edges
     brute = sum(
         1 for i in range(12) for j in range(12) if i != j and abs(data.gamma[i, j]) > 1e-5
     )
-    gamma_edges = len(result.graphs["gamma"].edges)
+    gamma_edges = len(result.graphs["gamma"].src)
     in_gamma, _ = nm.degree_distributions(result.graphs["gamma"])
     in_omega1, _ = nm.degree_distributions(result.graphs["omega1"])
     mass_shift = in_omega1[0] > in_gamma[0]
@@ -249,7 +249,7 @@ def test_criterion_9_numerical_hygiene(cart_pole_setup):
     model = nm.cart_pole_model()
     q = np.diag([10.0, 1.0, 500.0, 1.0])
     r = np.array([[0.1]])
-    dare_res = nm.dare_residual(
+    dare_res = nm.plant.dare_residual(
         problem.plant.a, problem.plant.b, q, r, problem.p_term
     )
 
@@ -274,13 +274,13 @@ def test_criterion_9_numerical_hygiene(cart_pole_setup):
     for j in range(4):
         e = np.zeros(4)
         e[j] = h
-        col = (nm.cart_pole_rhs(params, e, 0.0) - nm.cart_pole_rhs(params, -e, 0.0)) / (
+        col = (nm.plant.cart_pole_rhs(params, e, 0.0) - nm.plant.cart_pole_rhs(params, -e, 0.0)) / (
             2 * h
         )
         jac_err = max(jac_err, float(np.max(np.abs(col - model.a_c[:, j]))))
     col_u = (
-        nm.cart_pole_rhs(params, np.zeros(4), h)
-        - nm.cart_pole_rhs(params, np.zeros(4), -h)
+        nm.plant.cart_pole_rhs(params, np.zeros(4), h)
+        - nm.plant.cart_pole_rhs(params, np.zeros(4), -h)
     ) / (2 * h)
     jac_err = max(jac_err, float(np.max(np.abs(col_u - model.b_c.ravel()))))
 

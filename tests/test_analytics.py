@@ -42,8 +42,7 @@ def assert_matches_former(w, threshold=1e-5, labels=None):
     got = nm.extract_graph(w, threshold=threshold, labels=labels)
     edges = former_extract_graph(w, threshold)
     assert got == graph_from_edges(w.shape[0], edges, labels)
-    assert got.edges == edges
-    assert all(type(v) is t for e in got.edges for v, t in zip(e, (int, int, float)))
+    assert got.src.dtype == got.dst.dtype == np.intp and got.weight.dtype == np.float64
     for hist, want in zip(
         nm.degree_distributions(got), former_degree_distributions(w.shape[0], edges)
     ):
@@ -71,13 +70,13 @@ def long_horizon_matrices():
 class TestExtractGraph:
     def test_identity_has_no_edges(self):
         g = nm.extract_graph(np.eye(5))
-        assert g.edges == []
+        assert len(g.src) == 0
         assert g.node_count == 5
 
     def test_single_edge_direction(self):
         # w[0, 1] = 2: column 1 feeds row 0
         g = nm.extract_graph(np.array([[0.0, 2.0], [0.0, 0.0]]))
-        assert g.edges == [(1, 0, 2.0)]
+        assert g == nm.NetworkGraph(2, [1], [0], [2.0])
 
     def test_benchmark_count_matches_brute_force(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
@@ -88,23 +87,23 @@ class TestExtractGraph:
             for j in range(12)
             if i != j and abs(data.gamma[i, j]) > 1e-5
         )
-        assert len(g.edges) == count
+        assert len(g.src) == count
 
     def test_threshold_monotonicity(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
         sizes = [
-            len(nm.extract_graph(data.gamma, threshold=t).edges)
+            len(nm.extract_graph(data.gamma, threshold=t).src)
             for t in (0.0, 1e-5, 1e-3, 1e-1, 10.0)
         ]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_strict_inequality_at_threshold(self):
         w = np.array([[0.0, 1e-5], [0.0, 0.0]])
-        assert nm.extract_graph(w, threshold=1e-5).edges == []
+        assert len(nm.extract_graph(w, threshold=1e-5).src) == 0
 
     def test_absolute_value_comparison(self):
         w = np.array([[0.0, -3.0], [0.0, 0.0]])
-        assert nm.extract_graph(w).edges == [(1, 0, -3.0)]
+        assert nm.extract_graph(w) == nm.NetworkGraph(2, [1], [0], [-3.0])
 
     def test_matches_former_implementation(self):
         rng = np.random.default_rng(3)
@@ -174,7 +173,7 @@ class TestDegreeDistributions:
         for w in (data.gamma, data.gamma + 0.5 * np.eye(12), np.triu(data.gamma)):
             g = nm.extract_graph(w)
             in_hist, out_hist = nm.degree_distributions(g)
-            edges = len(g.edges)
+            edges = len(g.src)
             assert sum(k * c for k, c in enumerate(in_hist)) == edges
             assert sum(k * c for k, c in enumerate(out_hist)) == edges
 
@@ -195,9 +194,7 @@ class TestExport:
         _, _, _, data = cart_pole_setup
         g = nm.extract_graph(data.gamma, labels=data.node_labels)
         back = nm.import_graph(nm.export_graph(g, "json"))
-        assert back.node_count == g.node_count
-        assert back.node_labels == g.node_labels
-        assert back.edges == sorted(g.edges)
+        assert back == g
 
     def test_deterministic_bytes(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
@@ -231,7 +228,7 @@ class TestValidation:
 
     def test_empty_graph_accepted(self):
         g = nm.NetworkGraph(3, [], [], [])
-        assert g.edges == []
+        assert len(g.src) == 0
         assert [h.tolist() for h in nm.degree_distributions(g)] == [[3], [3]]
 
     def test_import_rejects_edge_outside_graph(self):

@@ -4,6 +4,8 @@ from scipy.linalg import block_diag
 
 import neural_mpc as nm
 
+from conftest import dual_objective, primal_from_dual
+
 
 def rollout(problem, x0, u_stack):
     """Step-by-step state recursion, independent of the prediction matrices."""
@@ -55,7 +57,7 @@ class TestPredictionMatrices:
             state_con=problem.state_con,
             input_con=problem.input_con,
         )
-        s_x, s_u = nm.build_prediction_matrices(one)
+        s_x, s_u = nm.condenser.build_prediction_matrices(one)
         assert np.allclose(s_x, problem.plant.a)
         assert np.allclose(s_u, problem.plant.b)
 
@@ -70,13 +72,13 @@ class TestPredictionMatrices:
             state_con=nm.StateConstraint([[1.0]], [-1.0], [1.0]),
             input_con=nm.InputConstraint([-1.0], [1.0]),
         )
-        s_x, s_u = nm.build_prediction_matrices(problem)
+        s_x, s_u = nm.condenser.build_prediction_matrices(problem)
         assert np.allclose(s_x, [[1.0], [1.0]])
         assert np.allclose(s_u, [[1.0, 0.0], [1.0, 1.0]])
 
     def test_stacked_rollout_matches_recursion(self, cart_pole_setup):
         _, problem, _, _ = cart_pole_setup
-        s_x, s_u = nm.build_prediction_matrices(problem)
+        s_x, s_u = nm.condenser.build_prediction_matrices(problem)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x0 = rng.normal(size=4)
@@ -100,7 +102,7 @@ class TestPredictionMatrices:
         for i in range(horizon):
             for j in range(i + 1):
                 expected[i * n : (i + 1) * n, j * p : (j + 1) * p] = powers[i - j] @ b
-        _, s_u = nm.build_prediction_matrices(problem)
+        _, s_u = nm.condenser.build_prediction_matrices(problem)
         assert np.array_equal(s_u, expected)
 
 
@@ -235,8 +237,8 @@ class TestOneFactor:
         nm.build_network(qp)
         nm.augment_slack(qp, 1e4)
         sol = nm.solve_qp(qp, x0)
-        nm.primal_from_dual(qp, x0, sol.lam)
-        nm.dual_objective(qp, x0, sol.lam)
+        primal_from_dual(qp, x0, sol.lam)
+        dual_objective(qp, x0, sol.lam)
         assert len(calls) == 1
 
     def test_factor_reproduces_h(self, cart_pole_setup):
@@ -361,7 +363,7 @@ class TestRelaxationAndDuality:
         _, problem, _, _ = cart_pole_setup
         qp = nm.condense(self._relaxed(problem))
         data = nm.build_network(qp)
-        k_lqr = nm.lqr_gain(
+        k_lqr = nm.plant.lqr_gain(
             problem.plant.a, problem.plant.b, problem.q, problem.r, problem.p_term
         )
         rng = np.random.default_rng(5)
@@ -378,6 +380,6 @@ class TestRelaxationAndDuality:
         for _ in range(10):
             x0 = rng.normal(size=4)
             lam = rng.uniform(0.0, 2.0, size=qp.m)
-            u = nm.primal_from_dual(qp, x0, lam)
+            u = primal_from_dual(qp, x0, lam)
             grad = qp.h @ u + qp.s @ x0 + qp.g_mat.T @ lam
             assert np.max(np.abs(grad)) < 1e-10

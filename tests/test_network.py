@@ -7,20 +7,20 @@ import pytest
 import neural_mpc as nm
 from neural_mpc import harness
 
-from conftest import duplicated_row_qp, one_dim_qp
+from conftest import dual_objective, duplicated_row_qp, one_dim_qp, primal_from_dual
 
 
 class TestRelu:
     def test_mixed_signs(self):
-        assert np.array_equal(nm.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        assert np.array_equal(nm.network.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_all_negative(self):
-        assert np.array_equal(nm.relu(-np.arange(1.0, 4.0)), np.zeros(3))
+        assert np.array_equal(nm.network.relu(-np.arange(1.0, 4.0)), np.zeros(3))
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=50)
-        assert np.array_equal(nm.relu(nm.relu(v)), nm.relu(v))
+        assert np.array_equal(nm.network.relu(nm.network.relu(v)), nm.network.relu(v))
 
 
 class TestStepSingleLayer:
@@ -377,7 +377,7 @@ class TestSettle:
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         lam, settled = nm.settle(net, x0, tol=1e-10, max_time=0.2)
         assert settled
-        u = nm.primal_from_dual(qp, x0, lam)
+        u = primal_from_dual(qp, x0, lam)
         slack = qp.g_vec + qp.t_mat @ x0 - qp.g_mat @ u
         assert abs(lam @ slack) <= 1e-6
         assert np.max(np.abs(lam - sol.lam)) < 1e-6
@@ -496,6 +496,49 @@ class TestMultilayer:
         assert calls[0] == 0
 
 
+class TestStateLength:
+    """A state of the wrong length raises a ValueError naming both sizes, at
+    construction and when assigned before a settle."""
+
+    def test_network_lam(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        with pytest.raises(ValueError, match="^lam has 5 entries but the network has 12 neurons$"):
+            nm.FiringRateNetwork(data, lam=np.zeros(5))
+
+    def test_multilayer_tilde_lam(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        with pytest.raises(
+            ValueError, match="^tilde_lam has 3 entries but the network has 12 hidden units$"
+        ):
+            nm.MultilayerNetwork(
+                omega1=data.gamma,
+                omega2=-data.u_dual_map,
+                psi=np.eye(data.size),
+                tilde_lam=np.zeros(3),
+            )
+
+    def test_settle_assigned_lam(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        net = nm.FiringRateNetwork(data)
+        net.lam = np.zeros(13)
+        with pytest.raises(ValueError, match="^lam has 13 entries but the network has 12 neurons$"):
+            nm.settle(net, X0)
+        net.lam = np.zeros((12, 1))
+        with pytest.raises(ValueError, match=r"^lam has shape \(12, 1\) but the network has 12"):
+            nm.settle(net, X0)
+
+    def test_settle_multilayer_assigned_tilde_lam(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        multi = nm.MultilayerNetwork(
+            omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size)
+        )
+        multi.tilde_lam = np.zeros(11)
+        with pytest.raises(
+            ValueError, match="^tilde_lam has 11 entries but the network has 12 hidden units$"
+        ):
+            nm.settle_multilayer(multi, data, X0)
+
+
 class TestInvariants:
     def test_orthant_forward_invariance(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
@@ -518,7 +561,7 @@ class TestInvariants:
             lam, settled = nm.settle(net, x0, tol=1e-9, max_time=0.5)
             if not settled:
                 continue
-            u = nm.primal_from_dual(qp, x0, lam)
+            u = primal_from_dual(qp, x0, lam)
             slack = qp.g_vec + qp.t_mat @ x0 - qp.g_mat @ u
             assert np.min(slack) >= -1e-6
             assert np.min(lam) >= -1e-12
@@ -529,7 +572,7 @@ class TestInvariants:
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
         _, _, _, traj = nm.settle(net, x0, tol=1e-12, max_time=0.02, record=True)
-        objs = np.array([nm.dual_objective(qp, x0, lam) for lam in traj])
+        objs = np.array([dual_objective(qp, x0, lam) for lam in traj])
         assert np.max(np.diff(objs)) <= 1e-8
 
 

@@ -3,6 +3,8 @@ import pytest
 
 import neural_mpc as nm
 
+from conftest import envelope_violation
+
 
 @pytest.fixture(scope="module")
 def pruned(cart_pole_setup):
@@ -26,27 +28,8 @@ def prune_edges_reference(gamma, threshold, diag_shift):
     pruned[off & (np.abs(gamma) < threshold)] = 0.0
     pruned -= diag_shift * np.eye(gamma.shape[0])
     delta = pruned - gamma
-    contracting, mu = nm.check_contraction(gamma + delta)
+    contracting, mu = nm.perturber.check_contraction(gamma + delta)
     return nm.Perturbation(delta=delta, mu=mu, contracting=contracting)
-
-
-def redesign_sparse_reference(gamma, gamma_tol, tau):
-    """redesign_sparse as first written, with a dense off-diagonal mask and shift * I."""
-    gamma = np.asarray(gamma, dtype=float)
-    m = gamma.shape[0]
-    w = gamma.copy()
-    off = ~np.eye(m, dtype=bool)
-    w[off] = np.sign(w[off]) * np.maximum(np.abs(w[off]) - tau, 0.0)
-    w = 0.5 * (w + w.T)
-    alpha_sym = float(np.max(np.linalg.eigvalsh(w)))
-    shift = max(alpha_sym - 1.0 + 1e-6, 0.0)
-    w -= shift * np.eye(m)
-    delta = w - gamma
-    norm = float(np.linalg.norm(delta, 2))
-    if norm > gamma_tol:
-        delta = delta * (gamma_tol / norm) if gamma_tol > 0 else np.zeros_like(delta)
-    contracting, mu = nm.check_contraction(gamma + delta)
-    return nm.Perturbation(delta=delta, mu=mu, contracting=contracting, gamma_tol=gamma_tol)
 
 
 def signed_zero_matrix():
@@ -69,11 +52,11 @@ def assert_same_perturbation(got, want, gamma):
 
 class TestCheckContraction:
     def test_zero_matrix(self):
-        contracting, mu = nm.check_contraction(np.zeros((3, 3)))
+        contracting, mu = nm.perturber.check_contraction(np.zeros((3, 3)))
         assert contracting and mu == 0.0
 
     def test_identity_boundary_excluded(self):
-        contracting, mu = nm.check_contraction(np.eye(3))
+        contracting, mu = nm.perturber.check_contraction(np.eye(3))
         assert not contracting
         assert abs(mu - 1.0) < 1e-12
 
@@ -81,12 +64,12 @@ class TestCheckContraction:
         # the dual Hessian is PSD but rank deficient, so the synaptic matrix
         # sits exactly on the boundary
         _, _, _, data = cart_pole_setup
-        contracting, mu = nm.check_contraction(data.gamma)
+        contracting, mu = nm.perturber.check_contraction(data.gamma)
         assert not contracting
         assert abs(mu - 1.0) < 1e-10
 
     def test_negative_spectrum_clamped(self):
-        _, mu = nm.check_contraction(-2.0 * np.eye(2))
+        _, mu = nm.perturber.check_contraction(-2.0 * np.eye(2))
         assert mu == 0.0
 
 
@@ -160,7 +143,7 @@ class TestOneSidedLipschitz:
             lam2 = rng.uniform(0.0, 5.0, 12)
             b = rng.normal(0.0, 5.0, 12)
             d = lam1 - lam2
-            inner = (nm.relu(w @ lam1 + b) - nm.relu(w @ lam2 + b)) @ d
+            inner = (nm.network.relu(w @ lam1 + b) - nm.network.relu(w @ lam2 + b)) @ d
             assert mu * d @ d - inner >= -1e-10
 
     def test_inequality_along_realized_trajectories(self, pruned):
@@ -178,7 +161,7 @@ class TestOneSidedLipschitz:
             dd = d @ d
             if dd == 0.0:
                 continue
-            inner = (nm.relu(w @ lam1 + b) - nm.relu(w @ lam2 + b)) @ d
+            inner = (nm.network.relu(w @ lam1 + b) - nm.network.relu(w @ lam2 + b)) @ d
             assert mu * dd - inner >= -1e-10 * max(1.0, dd)
 
 
@@ -214,7 +197,7 @@ class TestControlDeviationBound:
             x1, x2 = rng.normal(size=4), rng.normal(size=4)
             diffs = data.m_map @ (x1 - x2) - traj @ delta.T
             expect = max(np.linalg.norm(row) for row in diffs)
-            assert nm.forcing_term(data.m_map, delta, x1, x2, traj) == expect
+            assert nm.perturber.forcing_term(data.m_map, delta, x1, x2, traj) == expect
 
     def test_bound_dominates_measured_deviation(self, pruned):
         data, pert, pdata = pruned
@@ -242,7 +225,7 @@ class TestEnvelope:
         net = nm.FiringRateNetwork(data=pdata, eta=1e-3)
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
         _, _, times, traj = nm.settle(net, x0, tol=1e-300, max_time=0.01, record=True)
-        v = nm.envelope_violation(times / 1e-3, traj, traj, pert.mu, 0.0)
+        v = envelope_violation(times / 1e-3, traj, traj, pert.mu, 0.0)
         assert v <= 0.0
 
     def test_decay_within_envelope_near_equilibrium(self, pruned):
@@ -266,7 +249,7 @@ class TestEnvelope:
             )
             _, _, ta, tra = nm.settle(net_a, x0, tol=1e-300, max_time=0.02, dt=5e-5, record=True)
             _, _, _, trb = nm.settle(net_b, x0, tol=1e-300, max_time=0.02, dt=5e-5, record=True)
-            assert nm.envelope_violation(ta / 1e-3, tra, trb, pert.mu, 0.0) <= 1e-6
+            assert envelope_violation(ta / 1e-3, tra, trb, pert.mu, 0.0) <= 1e-6
 
     @pytest.mark.xfail(
         strict=True,
@@ -286,55 +269,8 @@ class TestEnvelope:
             net_b = nm.FiringRateNetwork(data=pdata, eta=1e-3, lam=rng.uniform(0, 3, 12))
             _, _, ta, tra = nm.settle(net_a, x0, tol=1e-300, max_time=0.05, record=True)
             _, _, _, trb = nm.settle(net_b, x0, tol=1e-300, max_time=0.05, record=True)
-            assert nm.envelope_violation(ta / 1e-3, tra, trb, pert.mu, 0.0) <= 1e-6
+            assert envelope_violation(ta / 1e-3, tra, trb, pert.mu, 0.0) <= 1e-6
 
     def test_grid_mismatch_raises(self):
         with pytest.raises(ValueError):
-            nm.envelope_violation(np.arange(3.0), np.zeros((3, 2)), np.zeros((4, 2)), 0.5, 0.0)
-
-
-class TestRedesignSparse:
-    def test_zero_threshold_large_budget(self, cart_pole_setup):
-        _, _, _, data = cart_pole_setup
-        pert = nm.redesign_sparse(data.gamma, gamma_tol=10.0, tau=0.0)
-        # only the contraction shift remains, and it is at most the boundary
-        # excess plus its margin
-        assert np.linalg.norm(pert.delta, 2) <= 1e-4
-
-    def test_zero_budget_forces_zero(self, cart_pole_setup):
-        _, _, _, data = cart_pole_setup
-        pert = nm.redesign_sparse(data.gamma, gamma_tol=0.0, tau=0.01)
-        assert np.array_equal(pert.delta, np.zeros_like(data.gamma))
-
-    def test_benchmark_redesign(self, cart_pole_setup):
-        _, _, _, data = cart_pole_setup
-        pert = nm.redesign_sparse(data.gamma, gamma_tol=1.0, tau=0.01)
-        assert np.count_nonzero(data.gamma + pert.delta) < np.count_nonzero(data.gamma)
-        assert np.linalg.norm(pert.delta, 2) <= 1.0
-        assert pert.contracting
-
-    def test_outputs_contract_for_positive_budget(self, cart_pole_setup):
-        _, _, _, data = cart_pole_setup
-        for tau, tol in ((0.0, 0.5), (0.01, 1.0), (0.5, 0.02), (2.0, 5.0)):
-            pert = nm.redesign_sparse(data.gamma, gamma_tol=tol, tau=tau)
-            contracting, _ = nm.check_contraction(data.gamma + pert.delta)
-            assert contracting
-            assert np.linalg.norm(pert.delta, 2) <= tol + 1e-12
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError):
-            nm.redesign_sparse(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 0.1)
-
-    @pytest.mark.parametrize("horizon", [1, 2, 40])
-    @pytest.mark.parametrize("tau, tol", [(0.0, 0.5), (0.01, 1.0), (0.5, 0.02), (2.0, 5.0)])
-    def test_matches_former_implementation(self, horizon, tau, tol):
-        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
-        got = nm.redesign_sparse(data.gamma, tol, tau)
-        want = redesign_sparse_reference(data.gamma, tol, tau)
-        assert_same_perturbation(got, want, data.gamma)
-
-    @pytest.mark.parametrize("tau", [0.0, 0.01, 0.1])
-    def test_signed_zeros_match_former_implementation(self, tau):
-        w = signed_zero_matrix()
-        got = nm.redesign_sparse(w, 10.0, tau)
-        assert_same_perturbation(got, redesign_sparse_reference(w, 10.0, tau), w)
+            envelope_violation(np.arange(3.0), np.zeros((3, 2)), np.zeros((4, 2)), 0.5, 0.0)

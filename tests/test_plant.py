@@ -260,7 +260,7 @@ class TestSolveDareSubspace:
         p = nm.solve_dare(a, b, q, r)
         p_scipy = solve_discrete_are(a, b, q, r)
         assert np.max(np.abs(p - p_scipy)) <= 1e-9 * np.max(np.abs(p_scipy))
-        k = nm.lqr_gain(a, b, q, r, p)
+        k = nm.plant.lqr_gain(a, b, q, r, p)
         assert np.max(np.abs(np.linalg.eigvals(a - b @ k))) < 1.0
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -269,7 +269,7 @@ class TestSolveDareSubspace:
         a, b, q, r = random_undetectable(np.random.default_rng(200 + n), n)
         p = _dare_subspace(a, b, q, r, b @ np.linalg.solve(r, b.T))
         p = 0.5 * (p + p.T)
-        assert nm.dare_residual(a, b, q, r, p) <= 1e-15 * max(1.0, np.linalg.norm(p))
+        assert nm.plant.dare_residual(a, b, q, r, p) <= 1e-15 * max(1.0, np.linalg.norm(p))
 
 
 class TestSolveDare:
@@ -297,7 +297,7 @@ class TestSolveDare:
         q = np.diag([10.0, 1.0, 500.0, 1.0])
         r = np.array([[0.1]])
         p = nm.solve_dare(dp.a, dp.b, q, r)
-        assert nm.dare_residual(dp.a, dp.b, q, r, p) <= 1e-9
+        assert nm.plant.dare_residual(dp.a, dp.b, q, r, p) <= 1e-9
         assert np.allclose(p, p.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(p)) >= -1e-10
 
@@ -326,7 +326,7 @@ class TestSolveDare:
 
 class TestLqrGain:
     def test_zero_dynamics_zero_gain(self):
-        k = nm.lqr_gain(
+        k = nm.plant.lqr_gain(
             np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2), np.eye(2)
         )
         assert np.allclose(k, 0.0)
@@ -334,7 +334,7 @@ class TestLqrGain:
     def test_scalar_golden_gain(self):
         one = np.array([[1.0]])
         p = nm.solve_dare(one, one, one, one)
-        k = nm.lqr_gain(one, one, one, one, p)
+        k = nm.plant.lqr_gain(one, one, one, one, p)
         assert abs(k[0, 0] - p[0, 0] / (1.0 + p[0, 0])) < 1e-10
         assert abs(k[0, 0] - 0.6180339887498949) < 1e-9
 
@@ -343,7 +343,7 @@ class TestLqrGain:
         q = np.diag([10.0, 1.0, 500.0, 1.0])
         r = np.array([[0.1]])
         p = nm.solve_dare(dp.a, dp.b, q, r)
-        k = nm.lqr_gain(dp.a, dp.b, q, r, p)
+        k = nm.plant.lqr_gain(dp.a, dp.b, q, r, p)
         _, k_oracle = riccati_recursion(dp.a, dp.b, q, r)
         assert np.max(np.abs(k - k_oracle)) < 1e-8
         assert np.max(np.abs(np.linalg.eigvals(dp.a - dp.b @ k))) < 1.0
@@ -398,11 +398,11 @@ class TestNonlinearCartPole:
             e = np.zeros(4)
             e[j] = h
             jac_x[:, j] = (
-                nm.cart_pole_rhs(params, e, 0.0) - nm.cart_pole_rhs(params, -e, 0.0)
+                nm.plant.cart_pole_rhs(params, e, 0.0) - nm.plant.cart_pole_rhs(params, -e, 0.0)
             ) / (2 * h)
         jac_u = (
-            nm.cart_pole_rhs(params, np.zeros(4), h)
-            - nm.cart_pole_rhs(params, np.zeros(4), -h)
+            nm.plant.cart_pole_rhs(params, np.zeros(4), h)
+            - nm.plant.cart_pole_rhs(params, np.zeros(4), -h)
         ) / (2 * h)
         assert np.max(np.abs(jac_x - model.a_c)) < 1e-6
         assert np.max(np.abs(jac_u - model.b_c.ravel())) < 1e-6

@@ -3,7 +3,7 @@ import pytest
 
 import neural_mpc as nm
 
-from conftest import duplicated_row_qp, one_dim_qp
+from conftest import dual_objective, duplicated_row_qp, one_dim_qp
 
 # Sampling box for oracle cross-checks: wide enough to saturate the input
 # bounds at many draws, narrow enough that the near-singular state-constraint
@@ -81,7 +81,7 @@ class _SolverCases:
 
 
 class TestActiveSetEnumeration(_SolverCases):
-    solve = staticmethod(nm.solve_active_set_enumeration)
+    solve = staticmethod(nm.qp_oracle.solve_active_set_enumeration)
 
     def test_enumeration_guard(self):
         m = 25
@@ -95,7 +95,7 @@ class TestActiveSetEnumeration(_SolverCases):
             upsilon_rows=1,
         )
         with pytest.raises(ValueError, match="guard"):
-            nm.solve_active_set_enumeration(qp, np.zeros(1))
+            nm.qp_oracle.solve_active_set_enumeration(qp, np.zeros(1))
 
 
 class TestSolveQp(_SolverCases):
@@ -109,10 +109,10 @@ class TestSolveQp(_SolverCases):
         for _ in range(count):
             x0 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)
             sol = nm.solve_qp(qp, x0)
-            ref = nm.solve_active_set_enumeration(qp, x0)
+            ref = nm.qp_oracle.solve_active_set_enumeration(qp, x0)
             assert np.max(np.abs(sol.u - ref.u)) <= 1e-9
             assert abs(
-                nm.dual_objective(qp, x0, sol.lam) - nm.dual_objective(qp, x0, ref.lam)
+                dual_objective(qp, x0, sol.lam) - dual_objective(qp, x0, ref.lam)
             ) <= 1e-9
 
     @pytest.mark.parametrize("horizon", [10, 20])
@@ -181,11 +181,11 @@ class TestProjectedGradient:
     def test_objective_agrees_with_enumeration(self, cart_pole_setup):
         _, _, qp, data = cart_pole_setup
         x0 = np.array([0.0, 0.0, 0.3, 0.0])
-        sol = nm.solve_active_set_enumeration(qp, x0)
+        sol = nm.qp_oracle.solve_active_set_enumeration(qp, x0)
         lam, settled = nm.settle(nm.FiringRateNetwork(data=data), x0)
         assert settled
         assert abs(
-            nm.dual_objective(qp, x0, lam) - nm.dual_objective(qp, x0, sol.lam)
+            dual_objective(qp, x0, lam) - dual_objective(qp, x0, sol.lam)
         ) < 1e-8
 
 
@@ -196,10 +196,10 @@ class TestSelfConsistency:
         rng = np.random.default_rng(1)
         for _ in range(50):
             x0 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX)
-            sol = nm.solve_active_set_enumeration(qp, x0)
+            sol = nm.qp_oracle.solve_active_set_enumeration(qp, x0)
             net.reset()
             lam, settled = nm.settle(net, x0)
             assert settled
             assert abs(
-                nm.dual_objective(qp, x0, lam) - nm.dual_objective(qp, x0, sol.lam)
+                dual_objective(qp, x0, lam) - dual_objective(qp, x0, sol.lam)
             ) < 1e-7
