@@ -4,13 +4,19 @@ Factorizes the stacked matrix theta = [gamma; -u_dual_map] into omega @ psi
 under hard nonzero budgets on each factor, using proximal alternating
 linearized minimization (PALM): alternating gradient steps on the squared
 Frobenius residual, each followed by a hard-threshold projection onto the
-nonzero budget.  Any factorization with zero residual yields a multilayer
-network whose input/output behavior matches the single-layer network exactly.
+nonzero budget.  Once a sweep leaves both supports unchanged, a second sweep
+from an inertially extrapolated point (iPALM, Pock & Sabach 2016) is tried,
+and kept only when it keeps the supports and lowers the residual below the
+plain sweep's, so the residual history stays non-increasing.  The history
+holds one entry per kept step, and so do the step counts reported from it.
+Any factorization with zero residual yields a multilayer network whose
+input/output behavior matches the single-layer network exactly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +31,11 @@ class FactorizationProblem:
     theta : ndarray, (m+p) x m
         Stacked target matrix.
     s_omega, s_psi : int
-        Maximum number of nonzero entries kept in omega / psi.
+        Maximum number of nonzero entries kept in omega / psi, >= 1.
     beta1, beta2 : float
         Step-size safety multipliers, > 1.
     k_bar : int
-        Iteration cap.
+        Cap on PALM steps, >= 1.
 
     The inner dimension (columns of omega, rows of psi) is theta's column count.
     """
@@ -43,10 +49,14 @@ class FactorizationProblem:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.ndim != 2 or self.theta.size == 0:
+            raise ValueError(f"theta must be a non-empty 2-D array, got shape {self.theta.shape}")
         if not np.isfinite(self.theta).all():
             raise ValueError("theta must be finite")
-        if self.s_omega < 1 or self.s_psi < 1:
-            raise ValueError("sparsity budgets must be >= 1")
+        for name in ("s_omega", "s_psi", "k_bar"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.beta1 <= 1 or self.beta2 <= 1:
             raise ValueError("beta1 and beta2 must exceed 1")
 
@@ -78,29 +88,67 @@ def factorization_residual(theta: np.ndarray, omega: np.ndarray, psi: np.ndarray
     return float(np.linalg.norm(theta - omega @ psi, "fro"))
 
 
+def _sweep(
+    prob: FactorizationProblem, omega: np.ndarray, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One PALM sweep from (omega, psi): (omega', psi', ||theta - omega' psi'||_F).
+
+    A gradient step on omega with step 1/(beta1 ||psi psi'||_F), then hard
+    thresholding to s_omega nonzeros, then the symmetric update of psi.  A
+    floor of 1e-12 on the step denominators guards against a collapsed factor.
+    Products are ndarray.dot, the BLAS call of ``@`` at less dispatch cost,
+    and each Frobenius norm is sqrt(f . f) over the raveled array, as
+    np.linalg.norm(., "fro") computes it, so the sweep rounds as written.
+    """
+    theta = prob.theta
+    flat = psi.dot(psi.T).ravel("K")
+    denom = max(math.sqrt(flat.dot(flat)), 1e-12)
+    omega = _hard_threshold(
+        omega - ((1.0 / (prob.beta1 * denom)) * (omega.dot(psi) - theta)).dot(psi.T),
+        prob.s_omega,
+    )
+    flat = omega.T.dot(omega).ravel("K")
+    denom = max(math.sqrt(flat.dot(flat)), 1e-12)
+    psi = _hard_threshold(
+        psi - ((1.0 / (prob.beta2 * denom)) * omega.T).dot(omega.dot(psi) - theta), prob.s_psi
+    )
+    flat = (omega.dot(psi) - theta).ravel("K")
+    return omega, psi, math.sqrt(flat.dot(flat))
+
+
+def _same_support(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a != 0, b != 0)
+
+
 def palm_factorize(
     prob: FactorizationProblem,
     omega0: np.ndarray | None = None,
     psi0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run PALM on a FactorizationProblem.
+    """Run PALM with a monotone inertial step on a FactorizationProblem.
 
-    Each sweep takes a gradient step on omega with step 1/(beta1 ||psi psi'||_F)
-    followed by hard thresholding to s_omega nonzeros, then the symmetric
-    update for psi.  A floor of 1e-12 on the step denominators guards against a
-    collapsed factor.  By default the iteration starts at the exact identity
+    Each step first takes the plain sweep (``_sweep``) from the current
+    iterate x.  If that sweep left the supports of both factors unchanged, a
+    second sweep runs from the extrapolated point x + a_k (x - x_prev), with
+    a_k = (t_k - 1)/t_{k+1} and the FISTA sequence
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, t_1 = 1 (after iPALM, Pock & Sabach
+    2016).  Its result is kept only if it, too, leaves both supports unchanged
+    and its residual is strictly below the plain sweep's; otherwise the plain
+    result is kept and t restarts at 1.  No extrapolated sweep runs while
+    a_k = 0.  By default the iteration starts at the exact identity
     factorization omega = theta, psi = I (zero residual), so sparsification
     proceeds from an exact point.
 
     Returns
     -------
     (omega, psi, residual_history)
-        residual_history[i] is the Frobenius residual after sweep i; it is
-        non-increasing up to 1e-12 slack.  Iteration stops at k_bar sweeps,
-        when the relative residual change drops below 1e-10, or when the
-        residual reaches rounding noise, 64 eps ||theta||_F; below that floor
-        the change rule can fail forever as the residual alternates between
-        noise values.
+        residual_history[i] is the Frobenius residual after kept step i (one
+        entry per step, whichever sweep it kept); it is non-increasing up to
+        1e-12 slack, since a kept step is at most the plain sweep's residual.
+        Iteration stops at k_bar steps, when the relative residual change
+        drops below 1e-10, or when the residual reaches rounding noise,
+        64 eps ||theta||_F; below that floor the change rule can fail forever
+        as the residual alternates between noise values.
     """
     theta = prob.theta
     k = theta.shape[1]
@@ -110,25 +158,28 @@ def palm_factorize(
         raise ValueError("initial factor shapes inconsistent with problem")
 
     floor = 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
-    beta1, beta2, s_omega, s_psi = prob.beta1, prob.beta2, prob.s_omega, prob.s_psi
     history = []
     prev = None
-    # Products are ndarray.dot, the BLAS call of ``@`` at less dispatch cost,
-    # and each Frobenius norm is sqrt(f . f) over the raveled array, as
-    # np.linalg.norm(., "fro") computes it, so every sweep rounds as written.
-    r = omega.dot(psi) - theta  # carried from each stop test into the next omega gradient
+    t = 1.0
+    omega_prev, psi_prev = omega, psi
     for _ in range(prob.k_bar):
-        flat = psi.dot(psi.T).ravel("K")
-        denom = max(math.sqrt(flat.dot(flat)), 1e-12)
-        omega = _hard_threshold(omega - ((1.0 / (beta1 * denom)) * r).dot(psi.T), s_omega)
-        flat = omega.T.dot(omega).ravel("K")
-        denom = max(math.sqrt(flat.dot(flat)), 1e-12)
-        psi = _hard_threshold(
-            psi - ((1.0 / (beta2 * denom)) * omega.T).dot(omega.dot(psi) - theta), s_psi
-        )
-        r = omega.dot(psi) - theta
-        flat = r.ravel("K")
-        res = math.sqrt(flat.dot(flat))
+        new_omega, new_psi, res = _sweep(prob, omega, psi)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        a = (t - 1.0) / t_next
+        if not (_same_support(new_omega, omega) and _same_support(new_psi, psi)):
+            t = 1.0
+        elif a == 0.0:
+            t = t_next
+        else:
+            ext_omega, ext_psi, ext_res = _sweep(
+                prob, omega + a * (omega - omega_prev), psi + a * (psi - psi_prev)
+            )
+            if ext_res < res and _same_support(ext_omega, omega) and _same_support(ext_psi, psi):
+                new_omega, new_psi, res = ext_omega, ext_psi, ext_res
+                t = t_next
+            else:
+                t = 1.0
+        omega_prev, psi_prev, omega, psi = omega, psi, new_omega, new_psi
         if not math.isfinite(res):
             raise FloatingPointError("PALM iterates diverged (non-finite residual)")
         history.append(res)

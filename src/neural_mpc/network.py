@@ -332,6 +332,11 @@ class MultilayerNetwork:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
+        for name in ("omega1", "omega2", "psi"):
+            factor = np.asarray(getattr(self, name), dtype=float)
+            if factor.ndim != 2:
+                raise ValueError(f"{name} must be 2-D, got shape {factor.shape}")
+            setattr(self, name, factor)
         k = self.psi.shape[0]
         if self.omega1.shape[1] != k or self.omega2.shape[1] != k:
             raise ValueError("omega1/omega2 column counts must match psi rows")

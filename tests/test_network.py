@@ -468,6 +468,13 @@ class TestMultilayer:
         nm.settle_multilayer(multi, data, np.array([0.3, 0, 0.15, 0]), max_time=0.05)
         assert np.min(multi.tilde_lam) < 0.0
 
+    def test_factors_converted_to_arrays(self):
+        multi = nm.MultilayerNetwork(omega1=[[1.0]], omega2=[[1.0]], psi=[[1.0]])
+        for factor in (multi.omega1, multi.omega2, multi.psi):
+            assert isinstance(factor, np.ndarray) and factor.dtype == float
+        with pytest.raises(ValueError, match="omega2 must be 2-D"):
+            nm.MultilayerNetwork(omega1=[[1.0]], omega2=[1.0], psi=[[1.0]])
+
     def test_psi_columns_must_match_omega1_rows(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
         m = data.size
