@@ -106,7 +106,8 @@ class CondensedQp:
     ``upsilon_rows`` is the number of leading components of the stacked input
     that form the first control action (the selector width).  ``row_labels``
     describe each constraint row and ``input_row_count`` marks where the input
-    block ends, per the module-level ordering contract.
+    block ends, per the module-level ordering contract.  ``factor`` and
+    ``network`` are computed on first use and kept.
     """
 
     h: np.ndarray
@@ -147,6 +148,13 @@ class CondensedQp:
         w = np.linalg.solve(low, np.hstack([self.g_mat.T, self.s]))
         low.flags.writeable = w.flags.writeable = False
         return low, w[:, : self.m], w[:, self.m :]
+
+    @cached_property
+    def network(self) -> NetworkData:
+        """``build_network(self)``, built on first use and kept: the network
+        the pipeline runs and the base of ``augment_slack`` are this one object,
+        shared by every caller, so its arrays must not be edited in place."""
+        return build_network(self)
 
 
 @dataclass
@@ -246,40 +254,33 @@ def condense(problem: MpcProblem) -> CondensedQp:
     p = problem.plant.input_dim
     big_n = problem.horizon
 
-    # Input block: rows act directly on the stacked input.
-    rows_u, rhs_u, labels = [], [], []
-    for k in range(big_n):
-        for i in range(p):
-            row = np.zeros(big_n * p)
-            row[k * p + i] = 1.0
-            rows_u.append(row)
-            rhs_u.append(problem.input_con.upper[i])
-            labels.append(f"input[k={k},i={i},upper]")
-            rows_u.append(-row)
-            rhs_u.append(-problem.input_con.lower[i])
-            labels.append(f"input[k={k},i={i},lower]")
-    g_u = np.array(rows_u).reshape(-1, big_n * p)
-    input_row_count = g_u.shape[0]
-
-    # State block: rows act on the stacked state, then map through s_u / s_x.
-    c = problem.state_con.c_rows
+    # Each bound is a row and its negation (upper then lower bound), written
+    # by index: an input row picks one entry of u_k, a state row applies one
+    # row of c_rows to x_k.  The negated rows carry -0.0 off their support.
+    ic, sc = problem.input_con, problem.state_con
+    c = sc.c_rows
     n_c = c.shape[0]
-    rows_x, rhs_x = [], []
-    for k in range(1, big_n + 1):
-        for j in range(n_c):
-            row = np.zeros(big_n * n)
-            row[(k - 1) * n : k * n] = c[j]
-            rows_x.append(row)
-            rhs_x.append(problem.state_con.upper[j])
-            labels.append(f"state[k={k},j={j},upper]")
-            rows_x.append(-row)
-            rhs_x.append(-problem.state_con.lower[j])
-            labels.append(f"state[k={k},j={j},lower]")
-    g_x_stack = np.array(rows_x).reshape(-1, big_n * n)
+    g_u = np.empty((2 * big_n * p, big_n * p))
+    g_u[0::2] = np.eye(big_n * p)
+    g_u[1::2] = -g_u[0::2]
+    input_row_count = g_u.shape[0]
+    c_stack = np.zeros((big_n * n_c, big_n * n))
+    steps = np.arange(big_n)
+    c_stack.reshape(big_n, n_c, big_n, n)[steps, :, steps] = c
+    g_x_stack = np.empty((2 * big_n * n_c, big_n * n))
+    g_x_stack[0::2] = c_stack
+    g_x_stack[1::2] = -c_stack
+    rhs_u = np.tile(np.column_stack([ic.upper, -ic.lower]).ravel(), big_n)
+    rhs_x = np.tile(np.column_stack([sc.upper, -sc.lower]).ravel(), big_n)
+    bounds = ("upper", "lower")
+    labels = [f"input[k={k},i={i},{b}]" for k in range(big_n) for i in range(p) for b in bounds]
+    labels += [
+        f"state[k={k},j={j},{b}]" for k in range(1, big_n + 1) for j in range(n_c) for b in bounds
+    ]
 
     g_mat = np.vstack([g_u, g_x_stack @ s_u])
     t_mat = np.vstack([np.zeros((input_row_count, n)), -g_x_stack @ s_x])
-    g_vec = np.concatenate([np.array(rhs_u), np.array(rhs_x)])
+    g_vec = np.concatenate([rhs_u, rhs_x])
 
     return CondensedQp(
         h=h,
@@ -326,7 +327,7 @@ def augment_slack(qp: CondensedQp, rho: float) -> tuple[NetworkData, SlackMeta]:
         [ -rho^-1 E'             (1 - rho^-1) I ]
 
     where E (m x m_s) selects the state rows; the blocks are written by index
-    from ``build_network``'s gamma, never formed as products of E.  The input
+    from the gamma of ``qp.network``, never formed as products of E.  The input
     map and bias gain zero rows for the slack nodes.  Raises ``ValueError``
     unless rho > 0 and 1/rho is finite.
 
@@ -336,7 +337,7 @@ def augment_slack(qp: CondensedQp, rho: float) -> tuple[NetworkData, SlackMeta]:
     if not (rho > 0 and math.isfinite(1.0 / rho)):
         raise ValueError(f"rho must be positive, with 1/rho finite, got {rho}")
     inv_rho = 1.0 / rho
-    base = build_network(qp)
+    base = qp.network
     m = qp.m
     m_s = m - qp.input_row_count
     state_rows = np.arange(qp.input_row_count, m)

@@ -9,8 +9,12 @@ from an inertially extrapolated point (iPALM, Pock & Sabach 2016) is tried,
 and kept only when it keeps the supports and lowers the residual below the
 plain sweep's, so the residual history stays non-increasing.  The history
 holds one entry per kept step, and so do the step counts reported from it.
-Any factorization with zero residual yields a multilayer network whose
-input/output behavior matches the single-layer network exactly.
+A start that already fits both budgets with a residual at the rounding floor
+(``FactorizationProblem.floor``) is returned as it is, since a sweep could
+only add rounding noise to it; ``identity_layer_init``'s exact factors are
+such a start whenever the budgets cover their nonzeros.  Any factorization
+with zero residual yields a multilayer network whose input/output behavior
+matches the single-layer network exactly.
 """
 
 from __future__ import annotations
@@ -59,6 +63,12 @@ class FactorizationProblem:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.beta1 <= 1 or self.beta2 <= 1:
             raise ValueError("beta1 and beta2 must exceed 1")
+
+    @property
+    def floor(self) -> float:
+        """Rounding noise of the target, 64 eps ||theta||_F: a residual at or
+        below it counts as exact, and PALM stops there."""
+        return 64 * np.finfo(float).eps * np.linalg.norm(self.theta, "fro")
 
 
 def _hard_threshold(mat: np.ndarray, s: int) -> np.ndarray:
@@ -139,16 +149,22 @@ def palm_factorize(
     factorization omega = theta, psi = I (zero residual), so sparsification
     proceeds from an exact point.
 
+    A start that has at most s_omega and s_psi nonzeros and a residual r0 at
+    or below ``prob.floor`` is already a solution: it is returned unchanged
+    (as copies) with history [r0], and no sweep runs.  Checking costs one
+    product, omega0 @ psi0.
+
     Returns
     -------
     (omega, psi, residual_history)
         residual_history[i] is the Frobenius residual after kept step i (one
-        entry per step, whichever sweep it kept); it is non-increasing up to
-        1e-12 slack, since a kept step is at most the plain sweep's residual.
-        Iteration stops at k_bar steps, when the relative residual change
-        drops below 1e-10, or when the residual reaches rounding noise,
-        64 eps ||theta||_F; below that floor the change rule can fail forever
-        as the residual alternates between noise values.
+        entry per step, whichever sweep it kept), or [r0] alone for a start
+        returned unchanged; it is non-increasing up to 1e-12 slack, since a
+        kept step is at most the plain sweep's residual.  Iteration stops at
+        k_bar steps, when the relative residual change drops below 1e-10, or
+        when the residual reaches rounding noise, ``prob.floor``; below that
+        floor the change rule can fail forever as the residual alternates
+        between noise values.
     """
     theta = prob.theta
     k = theta.shape[1]
@@ -157,7 +173,12 @@ def palm_factorize(
     if omega.shape != (theta.shape[0], k) or psi.shape != (k, theta.shape[1]):
         raise ValueError("initial factor shapes inconsistent with problem")
 
-    floor = 64 * np.finfo(float).eps * np.linalg.norm(theta, "fro")
+    floor = prob.floor
+    if np.count_nonzero(omega) <= prob.s_omega and np.count_nonzero(psi) <= prob.s_psi:
+        flat = (omega.dot(psi) - theta).ravel("K")
+        res = math.sqrt(flat.dot(flat))
+        if res <= floor:
+            return omega, psi, np.array([res])
     history = []
     prev = None
     t = 1.0

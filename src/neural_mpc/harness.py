@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import os
 import sys
 import time
@@ -32,7 +33,6 @@ from .condenser import (
     NetworkData,
     StateConstraint,
     augment_slack,
-    build_network,
     condense,
 )
 from .factorizer import (
@@ -122,6 +122,10 @@ class ExperimentConfig:
             raise ValueError(f"eps0 must be nonnegative and finite, got {self.eps0}")
         if not 0 < self.settle_tol < np.inf:
             raise ValueError(f"settle_tol must be positive and finite, got {self.settle_tol}")
+        for name in ("s_omega", "s_psi", "s_omega_approx", "s_psi_approx"):
+            budget = getattr(self, name)
+            if not isinstance(budget, numbers.Integral) or budget < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {budget!r}")
         if self.q is None:
             self.q = np.diag([10.0, 1.0, 500.0, 1.0])
         if self.r is None:
@@ -303,7 +307,7 @@ def build_problem(config: ExperimentConfig) -> tuple[MpcProblem, CondensedQp, Ne
         input_con=config.input_con,
     )
     qp = condense(problem)
-    return problem, qp, build_network(qp)
+    return problem, qp, qp.network
 
 
 def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal):
@@ -386,6 +390,7 @@ def _factorize(data: NetworkData, s_omega: int, s_psi: int):
         "psi": psi,
         "residual": float(history[-1]),
         "iterations": int(len(history)),
+        "at_floor": bool(history[-1] <= prob.floor),
     }
 
 
@@ -398,7 +403,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     pairwise control/state deviations, constraint-violation counts, settle
     statistics, factorization residuals, deviation-bound checks for the
     pruned variant, and each network variant's Euler step dt/eta
-    (``euler_step``).  A pruned network whose contraction check fails still
+    (``euler_step``).  Each factorization entry records ``at_floor``, whether
+    its residual is at PALM's rounding floor; a ``multilayer_exact`` whose
+    factors are not exact (budgets below their nonzeros) runs and logs a
+    warning.  A pruned network whose contraction check fails still
     runs; its report entry then has ``bound_checks`` and ``min_margin`` null.
     A variant whose control or state turns non-finite stops there and the
     others still run; then ``ClosedLoopDiverged`` is raised, carrying the
@@ -419,6 +427,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         if f"multilayer_{key}" in config.variants
     }
+    if "exact" in factors and not factors["exact"]["at_floor"]:
+        log.warning(
+            "multilayer_exact is not exact: its factorization residual %.3g is above the "
+            "rounding floor at budgets s_omega = %d, s_psi = %d",
+            factors["exact"]["residual"], config.s_omega, config.s_psi,
+        )
     pert = gamma_pruned = slack = None
     if "perturbed" in config.variants:
         pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
@@ -578,8 +592,9 @@ def _max_deviation(p: np.ndarray, q: np.ndarray) -> float | None:
 
 
 def _factorization_entry(fac: dict) -> dict:
-    """What a factorization reached: its final residual and its PALM sweeps."""
-    return {"residual": fac["residual"], "iterations": fac["iterations"]}
+    """What a factorization reached: its final residual, its PALM steps, and
+    whether the residual is at the rounding floor (the factors are exact)."""
+    return {key: fac[key] for key in ("residual", "iterations", "at_floor")}
 
 
 def _perturbation_entry(config: ExperimentConfig, data: NetworkData, pert) -> dict:

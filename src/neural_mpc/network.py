@@ -96,7 +96,8 @@ def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
     Jacobian's fastest mode over every activation pattern, with e = eps0 for a
     ``FiringRateNetwork`` and e = ||omega1 psi - aux.gamma||_F for a
     ``MultilayerNetwork`` (``aux`` is the NetworkData it integrates against;
-    e is kept for the last aux and factor objects).  A step must lie below the
+    e is kept for the last aux and factor objects, and an identity omega1 is
+    not multiplied out).  A step must lie below the
     limit; the default contracts the fastest mode and the decay of inactive
     units alike, by (a - 1)/(a + 1).
     """
@@ -110,7 +111,8 @@ def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
                 raise ValueError(
                     f"aux has {aux.size} neurons but omega1 has {net.omega1.shape[0]} rows"
                 )
-            e = float(np.linalg.norm(net.omega1.dot(net.psi) - aux.gamma))
+            w = net._first_layer()
+            e = float(np.linalg.norm((net.psi if w is None else w.dot(net.psi)) - aux.gamma))
             net._step_cache = kept = (aux, net.omega1, net.psi, e)
         lambda_min, e = aux.lambda_min, kept[3]
     a = max(1.0, 1.0 + e - lambda_min)

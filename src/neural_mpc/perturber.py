@@ -38,11 +38,13 @@ def check_contraction(w: np.ndarray) -> tuple[bool, float]:
 
     Computes the largest eigenvalue of (w + w')/2; the dynamics are certified
     contracting iff it is strictly below 1 (sufficient condition, sharp for
-    symmetric w).  Returns (contracting, mu) with mu = max(eigenvalue, 0),
-    the rate estimate used by the deviation bounds.
+    symmetric w).  A symmetric w is its own symmetric part and is used as it
+    is.  Returns (contracting, mu) with mu = max(eigenvalue, 0), the rate
+    estimate used by the deviation bounds.
     """
     w = np.asarray(w, dtype=float)
-    alpha_sym = float(np.max(np.linalg.eigvalsh(0.5 * (w + w.T))))
+    sym = w if np.array_equal(w, w.T) else 0.5 * (w + w.T)
+    alpha_sym = float(np.max(np.linalg.eigvalsh(sym)))
     return alpha_sym < 1.0, max(alpha_sym, 0.0)
 
 

@@ -172,6 +172,76 @@ class TestCondense:
             nm.InputConstraint([1.0], [-1.0])
 
 
+def condense_rows_reference(problem):
+    """The constraint rows as first written, one row per loop pass, kept as the
+    bitwise oracle of ``condense``: (g_mat, t_mat, g_vec, labels, input_row_count)."""
+    s_x, s_u = nm.condenser.build_prediction_matrices(problem)
+    n = problem.plant.state_dim
+    p = problem.plant.input_dim
+    big_n = problem.horizon
+    rows_u, rhs_u, labels = [], [], []
+    for k in range(big_n):
+        for i in range(p):
+            row = np.zeros(big_n * p)
+            row[k * p + i] = 1.0
+            rows_u.append(row)
+            rhs_u.append(problem.input_con.upper[i])
+            labels.append(f"input[k={k},i={i},upper]")
+            rows_u.append(-row)
+            rhs_u.append(-problem.input_con.lower[i])
+            labels.append(f"input[k={k},i={i},lower]")
+    g_u = np.array(rows_u).reshape(-1, big_n * p)
+    c = problem.state_con.c_rows
+    rows_x, rhs_x = [], []
+    for k in range(1, big_n + 1):
+        for j in range(c.shape[0]):
+            row = np.zeros(big_n * n)
+            row[(k - 1) * n : k * n] = c[j]
+            rows_x.append(row)
+            rhs_x.append(problem.state_con.upper[j])
+            labels.append(f"state[k={k},j={j},upper]")
+            rows_x.append(-row)
+            rhs_x.append(-problem.state_con.lower[j])
+            labels.append(f"state[k={k},j={j},lower]")
+    g_x_stack = np.array(rows_x).reshape(-1, big_n * n)
+    g_mat = np.vstack([g_u, g_x_stack @ s_u])
+    t_mat = np.vstack([np.zeros((g_u.shape[0], n)), -g_x_stack @ s_x])
+    g_vec = np.concatenate([np.array(rhs_u), np.array(rhs_x)])
+    return g_mat, t_mat, g_vec, labels, g_u.shape[0]
+
+
+def two_input_problem():
+    """A 2-state, 2-input plant with three state rows, one of them signed."""
+    plant = nm.DiscretePlant(a=[[1.0, 0.1], [-0.2, 0.9]], b=[[0.0, 0.5], [1.0, -0.3]], ts=0.1)
+    return nm.MpcProblem(
+        plant=plant,
+        horizon=3,
+        q=np.eye(2),
+        r=np.eye(2),
+        p_term=np.eye(2),
+        state_con=nm.StateConstraint([[1.0, -0.5], [0.0, 2.0], [-1.0, 0.0]], [-1, -2, -3], [1, 2, 3]),
+        input_con=nm.InputConstraint([-1.0, -2.0], [1.5, 2.5]),
+    )
+
+
+class TestCondenseRowsOracle:
+    @pytest.mark.parametrize("case", ["N=1", "N=2", "N=40", "two_inputs"])
+    def test_matches_loop_reference_bitwise(self, case):
+        if case == "two_inputs":
+            problem = two_input_problem()
+        else:
+            horizon = int(case.removeprefix("N="))
+            problem, _, _ = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
+        qp = nm.condense(problem)
+        g_mat, t_mat, g_vec, labels, input_row_count = condense_rows_reference(problem)
+        for got, want in ((qp.g_mat, g_mat), (qp.t_mat, t_mat), (qp.g_vec, g_vec)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert qp.row_labels == labels
+        assert qp.input_row_count == input_row_count
+
+
 class TestBuildNetwork:
     def test_no_constraints_limit(self):
         qp = nm.CondensedQp(
@@ -240,6 +310,26 @@ class TestOneFactor:
         primal_from_dual(qp, x0, sol.lam)
         dual_objective(qp, x0, sol.lam)
         assert len(calls) == 1
+
+    def test_problem_and_slack_share_one_network(self, monkeypatch):
+        calls = {"cholesky": 0, "build_network": 0}
+        cholesky, build_network = np.linalg.cholesky, nm.condenser.build_network
+
+        def counting_cholesky(h):
+            calls["cholesky"] += 1
+            return cholesky(h)
+
+        def counting_build(qp):
+            calls["build_network"] += 1
+            return build_network(qp)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(nm.condenser, "build_network", counting_build)
+        config = nm.ExperimentConfig.cart_pole_default(horizon=40)
+        _, qp, data = nm.build_problem(config)
+        nm.augment_slack(qp, config.rho)
+        assert calls == {"cholesky": 1, "build_network": 1}
+        assert qp.network is data
 
     def test_factor_reproduces_h(self, cart_pole_setup):
         _, _, qp, _ = cart_pole_setup

@@ -216,7 +216,6 @@ class TestPalmBitwiseOracle:
         "horizon, budget, k_bar, start",
         [
             (2, 40, 100_000, "identity_layer"),
-            (2, 144, 100_000, "identity_layer"),
             (4, 30, 100_000, "identity_layer"),
             (2, 40, 5, "identity_layer"),
             (2, 40, 5, "default"),
@@ -226,15 +225,10 @@ class TestPalmBitwiseOracle:
         ],
     )
     def test_matches_reference_loop(self, horizon, budget, k_bar, start):
-        # Bit for bit where no inertial step is kept (the exact identity-layer
-        # start at the full budget stops after one sweep); elsewhere the same
-        # supports, a residual no larger and a non-increasing history.
+        # The same supports, a residual no larger and a non-increasing history.
         prob, omega0, psi0 = _palm_start(horizon, budget, k_bar, start)
         got = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
         want = palm_sweeps_reference(prob, omega0.copy(), psi0.copy())
-        if (budget, start) == (144, "identity_layer"):
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
         (omega, psi, hist), (want_omega, want_psi, want_hist) = got, want
         assert np.array_equal(omega != 0, want_omega != 0)
         assert np.array_equal(psi != 0, want_psi != 0)
@@ -245,17 +239,43 @@ class TestPalmBitwiseOracle:
         if (horizon, budget, k_bar, start) == (2, 40, 100_000, "identity_layer"):
             assert 5 * len(hist) <= len(want_hist)
 
-    def test_identity_budget_at_n40(self):
-        # omega0 = [I; -u_dual_map gamma^-1] has 2m = 480 nonzeros and
-        # psi0 = gamma has m^2 = 57 600, so psi is never thresholded.
-        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=40))
+    @pytest.mark.parametrize("horizon, s_omega, s_psi", [(2, 144, 144), (40, 480, 57_600)])
+    def test_exact_start_returned_untouched(self, horizon, s_omega, s_psi):
+        # identity_layer_init's factors fit these budgets (omega0 = [I; -u_dual_map
+        # gamma^-1] has 2m nonzeros, psi0 = gamma has m^2) with a residual at
+        # the floor, so no sweep runs: the start comes back bit for bit.
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
         theta = nm.stack_target(data.gamma, data.u_dual_map)
-        prob = nm.FactorizationProblem(theta=theta, s_omega=480, s_psi=57_600)
         omega0, psi0 = nm.identity_layer_init(data.gamma, data.u_dual_map)
-        got = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
-        want = palm_sweeps_reference(prob, omega0.copy(), psi0.copy())
+        assert np.count_nonzero(omega0) <= s_omega and np.count_nonzero(psi0) <= s_psi
+        prob = nm.FactorizationProblem(theta=theta, s_omega=s_omega, s_psi=s_psi)
+        omega, psi, hist = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        r0 = nm.factorization_residual(theta, omega0, psi0)
+        assert r0 <= prob.floor
+        assert hist.tolist() == [r0]
+        assert np.array_equal(omega, omega0) and np.array_equal(psi, psi0)
+        assert omega is not omega0 and psi is not psi0
+
+    @pytest.mark.parametrize("s_omega, s_psi", [(144, 143), (23, 144)])
+    def test_exact_start_over_budget_sweeps(self, s_omega, s_psi):
+        # One nonzero over a budget, the exact start is swept: its first two
+        # steps, before any inertial step can be tried, are the reference's bit
+        # for bit, and the full run keeps the reference's psi support and
+        # ends with no larger a residual.
+        _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=2))
+        theta = nm.stack_target(data.gamma, data.u_dual_map)
+        omega0, psi0 = nm.identity_layer_init(data.gamma, data.u_dual_map)
+        prob = nm.FactorizationProblem(theta=theta, s_omega=s_omega, s_psi=s_psi)
+        two = dataclasses.replace(prob, k_bar=2)
+        got = nm.palm_factorize(two, omega0=omega0, psi0=psi0)
+        want = palm_sweeps_reference(two, omega0.copy(), psi0.copy())
+        assert len(got[2]) == 2
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+        _, psi, hist = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        _, want_psi, want_hist = palm_sweeps_reference(prob, omega0.copy(), psi0.copy())
+        assert np.array_equal(psi != 0, want_psi != 0)
+        assert hist[-1] <= want_hist[-1]
 
 
 class TestSplitFactors:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -141,6 +142,18 @@ class TestConfig:
     def test_sample_count_checked(self, overrides, field):
         with pytest.raises(ValueError, match=rf"^{field} must"):
             nm.ExperimentConfig.cart_pole_default(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s_omega", 0), ("s_psi", -3), ("s_omega_approx", 2.5), ("s_psi_approx", 0)],
+    )
+    def test_factorization_budgets_checked(self, field, value):
+        # checked on the config itself, also when no variant factorizes
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+            nm.ExperimentConfig.cart_pole_default(variants=("oracle",), **{field: value})
+        config = nm.ExperimentConfig.cart_pole_default()
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            dataclasses.replace(config, **{field: value})
 
     def test_one_sample_accepted(self):
         config = nm.ExperimentConfig.cart_pole_default(duration=0.011)  # rounds to 1 sample
@@ -301,6 +314,23 @@ class TestRunExperiment:
             nm.settle_multilayer(multi, data, x, **budget)
             assert np.array_equal(u, nm.extract_control_multilayer(multi, data, x))
 
+    def test_factorization_records_at_floor(self, caplog):
+        # At N = 2 the 144/144 budgets cover identity_layer_init's nonzeros and
+        # its exact start is kept; at N = 4 psi0 = gamma has 576 nonzeros, so
+        # the "exact" factors are cut to 144 and are not exact.
+        variants = ("multilayer_exact",)
+        with caplog.at_level(logging.WARNING, logger="neural_mpc"):
+            two = nm.run_experiment(small_config(variants=variants))
+        assert two.report["factorization"]["exact"]["at_floor"] is True
+        assert not caplog.records
+        with caplog.at_level(logging.WARNING, logger="neural_mpc"):
+            four = nm.run_experiment(small_config(horizon=4, variants=variants))
+        entry = four.report["factorization"]["exact"]
+        assert entry["at_floor"] is False and entry["residual"] > 1e-10
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "multilayer_exact is not exact" in record.getMessage()
+
     def test_gamma_graph_always_present(self):
         result = nm.run_experiment(small_config())
         assert "gamma" in result.graphs
@@ -399,6 +429,10 @@ class TestCli:
         assert (doc["s_omega"], doc["s_psi"]) == (40, 40)
         assert np.count_nonzero(doc["psi"]) <= 40
 
+    def test_factorize_zero_budget_exit_1(self, capsys):
+        assert cli_main(["factorize", "--s-omega", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: s_omega must be an integer >= 1")
+
     def test_duration_under_one_sample_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "short.json"
         cfg.write_text(json.dumps({"duration": 0.005}))
@@ -415,8 +449,13 @@ class TestCli:
             ({"settle_tol": float("nan"), "duration": 0.1}, "settle_tol"),
             ({"settle_tol": float("inf"), "duration": 0.1}, "settle_tol"),
             ({"settle_tol": -1, "variants": ["oracle"], "duration": 0.1}, "settle_tol"),
+            ({"s_omega": 0, "duration": 0.1, "variants": ["oracle", "single_layer"]}, "s_omega"),
+            ({"s_psi_approx": -1, "variants": ["oracle"], "duration": 0.1}, "s_psi_approx"),
         ],
-        ids=["eps0_nan", "eta_negative", "settle_tol_nan", "settle_tol_inf", "settle_tol_negative"],
+        ids=[
+            "eps0_nan", "eta_negative", "settle_tol_nan", "settle_tol_inf", "settle_tol_negative",
+            "s_omega_zero", "s_psi_approx_negative",
+        ],
     )
     def test_network_parameters_exit_1(self, tmp_path, capsys, doc, field):
         # checked on the config itself, also when no variant builds a network

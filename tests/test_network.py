@@ -266,6 +266,24 @@ class TestStepLimits:
         assert nm.step_limits(wrong, aux)[0] > 2.0 / a
         assert nm.step_limits(wrong, data) == (2.0 / a, 2.0 / (a + 1.0))
 
+    def test_exact_factors_at_n40_are_a_wire_with_the_single_layer_step(self):
+        config = nm.ExperimentConfig.cart_pole_default(horizon=40)
+        _, _, data = nm.build_problem(config)
+        fac = nm.harness._factorize(data, 480, 57_600)
+        assert fac["at_floor"] and np.array_equal(fac["psi"], data.gamma)
+        multi = nm.MultilayerNetwork(omega1=fac["omega1"], omega2=fac["omega2"], psi=fac["psi"])
+        assert multi._first_layer() is None  # omega1 is exactly the identity
+        assert nm.step_limits(multi, data) == nm.step_limits(nm.FiringRateNetwork(data=data))
+
+    def test_wire_error_equals_the_product_form(self, cart_pole_setup):
+        _, _, _, data = cart_pole_setup
+        eye = np.eye(data.size)
+        off = 0.05 * np.random.default_rng(4).normal(size=data.gamma.shape)
+        wire = nm.MultilayerNetwork(omega1=eye, omega2=-data.u_dual_map, psi=data.gamma + off)
+        e = np.linalg.norm(eye @ wire.psi - data.gamma)
+        a = 1.0 + e - np.linalg.eigvalsh(data.gamma)[0]
+        assert nm.step_limits(wire, data) == (2.0 / a, 2.0 / (a + 1.0))
+
     def test_inactive_decay_caps_the_step(self):
         # gamma = 0.5 I: the active modes decay at rate 0.5, inactive units at
         # rate 1, so a = 1 and not 0.5
