@@ -6,8 +6,9 @@ reproducible closed-loop experiments; emits per-variant CSV traces, a JSON
 comparison report, and network graphs.  The sampled loop applies each variant's
 control under a zero-order hold and propagates the plant between samples.
 
-The environment variable NEURAL_MPC_LOG in {error, info, debug} controls
-diagnostic verbosity.
+The environment variable NEURAL_MPC_LOG in {error, warning, info, debug}
+controls diagnostic verbosity; the default, warning, shows a
+``multilayer_exact`` factorization that is not exact.
 """
 
 from __future__ import annotations
@@ -784,10 +785,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging():
-    level_name = os.environ.get("NEURAL_MPC_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.ERROR
-    )
+    level = os.environ.get("NEURAL_MPC_LOG", "warning").upper()
+    if level not in ("ERROR", "WARNING", "INFO", "DEBUG"):
+        level = "WARNING"
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -21,23 +21,17 @@ m_map @ x0 + bias once.  One Euler step is a call with max_time = dt.  A
 network has settled when ||rate||_inf <= tol; the squared norm rate . rate
 decides that alone unless it lies between tol^2 and len(rate) tol^2.
 
-Silent neurons send nothing: with m = len(bias) >= 224 rectified neurons of
-which at most m/32 fire, the single layer's drive sums over the nonzero
-entries of its state alone and the multilayer's second layer over the nonzero
-relu outputs.  Below that crossover, measured on a 2-core Xeon (see
-``_SPARSE_MIN_SIZE``), the dense product is faster.  The sparse sum runs in
-another order, so its states may differ from the dense product's by rounding.
-
-A warm network keeps its recurrent input.  A settle that ends settled has
-already evaluated w @ state for the state it returns (w = gamma, or omega1),
-so the network keeps that product, keyed by the identities of the state and of
-w, and the next settle's first evaluation reuses it when both are the same
-objects; anything else (``reset()``, an assigned state, a replaced weight, an
-unsettled return) recomputes it.  The state a settle stores is read-only, so
-it cannot be edited in place under a kept product.  A multilayer first layer
-that is exactly the square identity (``identity_layer_init``'s) is a wire: its
-output is the state itself.  Either way the states, flags and step counts are
-bitwise those of computing every product.
+Each weight acts through one synaptic map v -> w @ v, chosen once per weight
+object (``_synaptic_map``): the identity for an exact square identity (I @ v
+adds only exact zeros); for gamma or psi, which read m >= 224 rectified
+neurons, a sum over the firing ones alone whenever at most m/32 fire (silent
+neurons send nothing; it runs in another order, so states may differ by
+rounding); otherwise w.dot.  A settle that ends settled has applied the first
+map to the state it returns, so the network keeps that product, keyed by the
+state and map objects, for the next settle from the same state; anything else
+(``reset()``, an assigned state, a replaced weight, an unsettled return)
+recomputes it.  A stored state is read-only, so states, flags and step counts
+stay bitwise those of computing every product.
 
 The Euler step comes from the spectrum of gamma (``step_limits``).  Over every
 activation pattern the Jacobian's eigenvalues are -1 (inactive units) and
@@ -52,6 +46,7 @@ inactive units by the same factor (a - 1)/(a + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -96,10 +91,9 @@ def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
     Jacobian's fastest mode over every activation pattern, with e = eps0 for a
     ``FiringRateNetwork`` and e = ||omega1 psi - aux.gamma||_F for a
     ``MultilayerNetwork`` (``aux`` is the NetworkData it integrates against;
-    e is kept for the last aux and factor objects, and an identity omega1 is
-    not multiplied out).  A step must lie below the
-    limit; the default contracts the fastest mode and the decay of inactive
-    units alike, by (a - 1)/(a + 1).
+    e is kept per aux and factor objects, and omega1's map gives omega1 psi).
+    A step must lie below the limit; the default contracts the fastest mode
+    and the decay of inactive units alike, by (a - 1)/(a + 1).
     """
     if isinstance(net, FiringRateNetwork):
         lambda_min, e = net.data.lambda_min, net.eps0
@@ -111,23 +105,22 @@ def step_limits(net, aux: NetworkData | None = None) -> tuple[float, float]:
                 raise ValueError(
                     f"aux has {aux.size} neurons but omega1 has {net.omega1.shape[0]} rows"
                 )
-            w = net._first_layer()
-            e = float(np.linalg.norm((net.psi if w is None else w.dot(net.psi)) - aux.gamma))
+            pre, _ = _synapses(net, net.omega1, net.psi)
+            e = float(np.linalg.norm(pre(net.psi) - aux.gamma))
             net._step_cache = kept = (aux, net.omega1, net.psi, e)
         lambda_min, e = aux.lambda_min, kept[3]
     a = max(1.0, 1.0 + e - lambda_min)
     return 2.0 / a, 2.0 / (a + 1.0)
 
 
-# Sparse products: a network of m neurons takes them when m >= _SPARSE_MIN_SIZE
-# and _SPARSE_MAX_SHARE * (firing count) <= m.  Measured with OpenBLAS at 2
-# threads on a 2-core Xeon, the sparse product (nonzero, column gather, product)
-# against the dense m x m one: at m <= 160 it did not win even with one
-# neuron firing (time ratio 0.9-1.5), and at m = 208 it only broke even; at
-# m = 224-256 it took 0.6-1.0 of the dense time with up to m/32 firing, and
-# 0.9-1.3 with m/16; at m = 400, 0.3-0.6 with m/32.  The cart-pole networks
-# at N = 2 (m = 12, 20 with slack) stay dense; at N = 40 (m = 240, 400 with
-# slack) a warm network fires 2 neurons per evaluation, and a cold start none.
+# Fired-only products: a weight reading m rectified neurons takes them when
+# m >= _SPARSE_MIN_SIZE and _SPARSE_MAX_SHARE * (firing count) <= m.  Measured
+# with OpenBLAS at 2 threads on a 2-core Xeon, the sparse product (nonzero,
+# column gather, product) against the dense m x m one: at m <= 160 it did not
+# win even with one neuron firing (time ratio 0.9-1.5), at m = 208 it broke
+# even; at m = 224-256 it took 0.6-1.0 of the dense time with up to m/32
+# firing, 0.9-1.3 with m/16; at m = 400, 0.3-0.6 with m/32.  At N = 40 (m =
+# 240, 400 with slack) a warm network fires 2 neurons per evaluation.
 _SPARSE_MIN_SIZE = 224
 _SPARSE_MAX_SHARE = 32
 
@@ -141,23 +134,43 @@ def _fired_dot(w, v):
     return w.dot(v)
 
 
-def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False, product=None):
-    """Forward Euler on  d(state)/d(t/eta) = -state + psi relu(w state - eps_k state - bias_in).
+# The wire v -> v: np.asarray returns a float array itself, without a Python frame.
+_identity = np.asarray
 
-    ``psi is None`` is the single layer (psi = I), ``w is None`` an identity
-    first layer (w state = state); ``eps`` maps the step index to the
-    regularizer.  ``product`` is w @ state for the initial state when the
+
+def _synaptic_map(w, fired):
+    """v -> w @ v: the identity when w is exactly the square identity, the
+    fired-only sum when w reads rectified neurons (``fired``) and has at least
+    ``_SPARSE_MIN_SIZE`` columns, else the bound method ``w.dot``."""
+    m, n = w.shape
+    if m == n and np.count_nonzero(w) == n and (w.diagonal() == 1).all():
+        return _identity
+    if fired and n >= _SPARSE_MIN_SIZE:
+        return partial(_fired_dot, w)
+    return w.dot
+
+
+def _synapses(net, w, psi):
+    """Maps (pre, post) of weights w and psi (None: single layer), kept per
+    pair of weight objects.  A multilayer's first layer reads a signed state."""
+    maps = net._maps
+    if maps is None or maps[0] is not w or maps[1] is not psi:
+        post = None if psi is None else _synaptic_map(psi, True)
+        net._maps = maps = (w, psi, (_synaptic_map(w, psi is None), post))
+    return maps[2]
+
+
+def _euler(pre, post, state, bias_in, step, n_steps, tol, eps=None, record=False, product=None):
+    """Forward Euler on  d(state)/d(t/eta) = -state + post relu(pre state - eps_k state - bias_in).
+
+    ``pre`` and ``post`` are synaptic maps (``_synaptic_map``), and ``post is
+    None`` is the single layer (post = I); ``eps`` maps the step index to the
+    regularizer.  ``product`` is pre(state) for the initial state when the
     caller already has it.  Each step evaluates the rate (one relu call) and
     stops before the update once ||rate||_inf <= tol.  Returns (state, settled,
     traj, product): ``traj`` lists the initial state and every stepped one when
-    ``record``, and ``product`` is w @ state of the returned state when
+    ``record``, and ``product`` is pre(state) of the returned state when
     settled, None when the budget ran out.
-
-    With m = len(bias_in) >= 224, ``w state`` (single layer) and ``psi
-    relu(.)`` (multilayer) sum over the nonzero presynaptic entries alone
-    whenever at most m/32 are nonzero (the crossover measured at
-    ``_SPARSE_MIN_SIZE``); the multilayer's first layer reads a signed state
-    and stays dense.
     """
     # The squared norm s = rate . rate settles a rate when s <= tol^2 and rules
     # settling out when s > n tol^2; only in between is the sup-norm taken.
@@ -168,18 +181,13 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False, p
     min_sq = tol2 * (1.0 - 1e-9) if 1e-300 < tol2 < 1e300 else -1.0
     max_sq = len(state) * tol2 * (1.0 + 1e-9)
     traj = [state] if record else None
-    sparse = len(bias_in) >= _SPARSE_MIN_SIZE
-    sparse_w = sparse and psi is None
     for k in range(n_steps):
         if product is None:
-            if w is None:
-                product = state
-            else:
-                product = _fired_dot(w, state) if sparse_w else w.dot(state)
+            product = pre(state)
         drive = product if eps is None else product - eps(k) * state
         rate = relu(drive - bias_in)
-        if psi is not None:
-            rate = _fired_dot(psi, rate) if sparse else psi.dot(rate)
+        if post is not None:
+            rate = post(rate)
         rate = rate - state
         s = rate.dot(rate)
         if s <= min_sq or (s <= max_sq and abs(rate).max() <= tol):
@@ -192,20 +200,21 @@ def _euler(w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False, p
 
 
 def _resume(net, w, psi, state, bias_in, step, n_steps, tol, eps=None, record=False):
-    """``_euler`` from ``state``, first reusing the product w @ state that the
-    network's last settle kept when it ended settled on this very state and w.
+    """``_euler`` on the maps of w and psi from ``state``, reusing the product
+    pre(state) the last settle kept if it ended settled on this state and map.
     Marks the returned state read-only and keeps its product (if settled) in
     ``net._kept``; returns (state, settled, traj)."""
+    pre, post = _synapses(net, w, psi)
     kept = net._kept
-    hit = kept is not None and kept[0] is state and kept[1] is w
+    hit = kept is not None and kept[0] is state and kept[1] is pre
     new, settled, traj, product = _euler(
-        w, psi, state, bias_in, step, n_steps, tol, eps, record, kept[2] if hit else None
+        pre, post, state, bias_in, step, n_steps, tol, eps, record, kept[2] if hit else None
     )
     # Settled at once from a kept state: that state is read-only and its entry
     # still holds (marking an array read-only costs about a 12 x 12 product).
     if not (hit and new is state):
         new.flags.writeable = False
-        net._kept = None if product is None else (new, w, product)
+        net._kept = None if product is None else (new, pre, product)
     return new, settled, traj
 
 
@@ -233,7 +242,8 @@ class FiringRateNetwork:
     eta: float = 1e-3
     eps0: float = 0.0
     lam: np.ndarray = field(default=None)  # type: ignore[assignment]
-    # (lam, gamma, gamma @ lam) after a settle that ended settled
+    # (gamma, None, maps) and (lam, gamma's map, gamma @ lam) after a settled settle
+    _maps: tuple = field(default=None, init=False, repr=False, compare=False)
     _kept: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -311,10 +321,9 @@ def extract_control(net: FiringRateNetwork, lam: np.ndarray, x0: np.ndarray) -> 
 class MultilayerNetwork:
     """Two-layer realization with hidden state ``tilde_lam`` (sign-unconstrained).
 
-    Its Euler step limits read e = ||omega1 psi - aux.gamma||_F, computed on
-    first use with a given ``aux`` and factors and kept (``step_limits``), and
-    whether omega1 is exactly the identity is decided once per omega1 object,
-    so the factors may be replaced but not edited in place.
+    Its synaptic maps are chosen once per pair of omega1 and psi objects, and
+    its Euler step limits read e = ||omega1 psi - aux.gamma||_F, kept per
+    ``aux`` and maps (``step_limits``): replace the factors, never edit them.
     ``settle_multilayer`` stores a read-only ``tilde_lam``; assign a new array
     of ``psi.shape[0]`` entries to change it (any other length raises
     ``ValueError`` at construction or at the next ``settle_multilayer``).
@@ -326,9 +335,9 @@ class MultilayerNetwork:
     eta: float = 1e-3
     residual: float = 0.0
     tilde_lam: np.ndarray = field(default=None)  # type: ignore[assignment]
-    # (aux, omega1, psi, e), (omega1, omega1 or None) and (state, w, w @ state)
+    # (omega1, psi, (their maps)), (aux, maps, e) and (state, omega1's map, product)
+    _maps: tuple = field(default=None, init=False, repr=False, compare=False)
     _step_cache: tuple = field(default=None, init=False, repr=False, compare=False)
-    _wire: tuple = field(default=None, init=False, repr=False, compare=False)
     _kept: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -355,15 +364,6 @@ class MultilayerNetwork:
     def reset(self):
         self.tilde_lam = np.zeros(self.psi.shape[0])
 
-    def _first_layer(self):
-        """omega1, or None when it is exactly the square identity: then the
-        state is the first layer's output.  Decided once per omega1 object."""
-        if self._wire is None or self._wire[0] is not self.omega1:
-            w = self.omega1
-            wire = w.shape[0] == w.shape[1] and np.array_equal(w, np.eye(len(w)))
-            self._wire = (w, None if wire else w)
-        return self._wire[1]
-
 
 def settle_multilayer(
     net: MultilayerNetwork,
@@ -380,7 +380,7 @@ def settle_multilayer(
     _, step, n_steps = _budget(net.eta, tol, max_time, dt, step_limits(net, aux))
     bias_in = _bias_in(aux, x0)
     state, settled, _ = _resume(
-        net, net._first_layer(), net.psi, net.tilde_lam, bias_in, step, n_steps, tol
+        net, net.omega1, net.psi, net.tilde_lam, bias_in, step, n_steps, tol
     )
     net.tilde_lam = state
     return state, settled

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +393,28 @@ class TestCli:
         assert len((out / "perturbed.csv").read_text().splitlines()) == 1 + 9
         assert len((out / "single_layer.csv").read_text().splitlines()) == 1 + 100
         capsys.readouterr()
+
+    @pytest.mark.parametrize("horizon, warned", [(4, True), (2, False)])
+    def test_inexact_factorization_warns_by_default(self, tmp_path, horizon, warned):
+        # a fresh process, as from the command line: the default log level
+        # prints the warning at N = 4 and nothing at N = 2, where the
+        # factorization is at its rounding floor
+        cfg = tmp_path / "cfg.json"
+        variants = ["oracle", "multilayer_exact"]
+        cfg.write_text(json.dumps({"horizon": horizon, "duration": 0.1, "variants": variants}))
+        env = {k: v for k, v in os.environ.items() if k != "NEURAL_MPC_LOG"}
+        env["PYTHONPATH"] = str(Path(nm.__file__).parents[1])
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        run = subprocess.run(
+            [sys.executable, "-m", "neural_mpc", *argv], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["factorization"]["exact"]["at_floor"] is not warned
+        if warned:
+            assert "WARNING neural_mpc: multilayer_exact is not exact" in run.stderr
+        else:
+            assert run.stderr == ""
 
     def test_analyze_dot_on_stdout(self, tmp_path, capsys):
         matrix = tmp_path / "gamma.json"

@@ -675,20 +675,48 @@ class TestKeptProduct:
         assert not single.lam.flags.writeable
 
 
-# --- the identity first layer ----------------------------------------------------
-# An omega1 that is exactly the square identity is a wire: the first layer's
-# output is the state itself.  I @ state adds only exact zeros, so forcing the
-# dense product must give the same bits.
+# --- the synaptic maps ------------------------------------------------------------
+# Each weight gets one map v -> w @ v, chosen once per weight object: a wire for
+# an exact square identity, the fired-only sum for gamma or psi at m >= 224,
+# else the dense w.dot.  I @ state adds only exact zeros, so forcing the dense
+# product on a wire must give the same bits.
+
+
+def synapses(net):
+    """(pre, post) maps a network settles with."""
+    if isinstance(net, nm.FiringRateNetwork):
+        return nm.network._synapses(net, net.data.gamma, None)
+    return nm.network._synapses(net, net.omega1, net.psi)
+
+
+def map_kind(fn, w):
+    """The kind of map ``fn`` ("wire", "fired" or "dense"), which must act by ``w``."""
+    if fn is nm.network._identity:
+        return "wire"
+    if getattr(fn, "func", None) is nm.network._fired_dot:
+        assert len(fn.args) == 1 and fn.args[0] is w
+        return "fired"
+    assert fn == w.dot  # a bound method equals another only on the same object
+    return "dense"
 
 
 class TestIdentityWire:
     def test_exact_factors_are_wired(self, warm_networks):
+        # the kind every network picks: dense at N = 2, fired-only for the
+        # rectified-reading weights at N = 40, a wire for the exact omega1
+        far = "fired" if warm_networks["horizon"] == 40 else "dense"
         omega1 = warm_networks["exact"]["omega1"]
         assert np.array_equal(omega1, np.eye(len(omega1)))
+        for kind in ("single", "slack", "pruned"):
+            net, _, _ = make_network(warm_networks, kind)
+            pre, post = synapses(net)
+            assert (map_kind(pre, net.data.gamma), post) == (far, None)
         net, _, _ = make_network(warm_networks, "exact")
-        assert net._first_layer() is None
+        pre, post = synapses(net)
+        assert (map_kind(pre, net.omega1), map_kind(post, net.psi)) == ("wire", far)
         approx, _, _ = make_network(warm_networks, "approx")
-        assert approx._first_layer() is approx.omega1
+        pre, post = synapses(approx)
+        assert (map_kind(pre, approx.omega1), map_kind(post, approx.psi)) == ("dense", far)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_bitwise_against_dense_product(self, warm_networks, monkeypatch, warm):
@@ -696,25 +724,61 @@ class TestIdentityWire:
         data = warm_networks["data"]["single"]
         wired, _, _ = make_network(warm_networks, "exact")
         dense, _, _ = make_network(warm_networks, "exact")
-        dense._wire = (dense.omega1, dense.omega1)
+        assert synapses(dense)[0] is nm.network._identity
+        products = [0]
+
+        def dense_product(v):
+            products[0] += v.ndim == 1  # step_limits applies it to psi once
+            return dense.omega1.dot(v)
+
+        dense._maps = (dense.omega1, dense.psi, (dense_product, synapses(dense)[1]))
+        settled, total = False, 0
         for x in warm_networks["xs"]:
             if not warm:
                 wired.reset()
                 dense.reset()
             calls[0] = 0
             got = nm.settle_multilayer(wired, data, x)
-            got_calls, calls[0] = calls[0], 0
-            assert_same_outcome(got, nm.settle_multilayer(dense, data, x))
+            got_calls, calls[0], products[0] = calls[0], 0, 0
+            want = nm.settle_multilayer(dense, data, x)
+            assert_same_outcome(got, want)
             assert got_calls == calls[0]
+            # one omega1 product per evaluation, but the first of a warm
+            # settle from a settled state, which reuses the kept product
+            assert products[0] == calls[0] - (warm and settled)
+            settled, total = want[1], total + products[0]
+        assert total > 0
 
     def test_decided_per_omega1(self, cart_pole_setup):
         _, _, _, data = cart_pole_setup
         m = data.size
         net = nm.MultilayerNetwork(omega1=np.eye(m), omega2=-data.u_dual_map, psi=data.gamma)
-        assert net._first_layer() is None
+        assert synapses(net)[0] is nm.network._identity
         net.omega1 = np.eye(m) + 1e-300
-        assert net._first_layer() is net.omega1
+        assert map_kind(synapses(net)[0], net.omega1) == "dense"
         rect = nm.MultilayerNetwork(
             omega1=np.eye(m, m + 1), omega2=np.zeros((1, m + 1)), psi=np.eye(m + 1, m)
         )
-        assert rect._first_layer() is rect.omega1
+        assert map_kind(synapses(rect)[0], rect.omega1) == "dense"
+
+    def test_replaced_weight_gets_a_new_map(self, cart_pole_setup, factors):
+        # kept while the weight objects stay, rebuilt for an equal copy
+        _, _, _, data = cart_pole_setup
+        x = states(0)[0]
+        single = nm.FiringRateNetwork(data=data)
+        multi, _ = multi_pair(factors["approx"])
+        nm.settle(single, x)
+        nm.settle_multilayer(multi, data, x)
+        for net, attr in ((single, "data"), (multi, "omega1"), (multi, "psi")):
+            maps = synapses(net)
+            assert synapses(net) is maps
+            old = getattr(net, attr)
+            if attr == "data":
+                setattr(net, attr, dataclasses.replace(old, gamma=old.gamma.copy()))
+                weights = (net.data.gamma,)
+            else:
+                setattr(net, attr, old.copy())
+                weights = (net.omega1, net.psi)
+            new = synapses(net)
+            assert new is not maps
+            assert [map_kind(fn, w) for fn, w in zip(new, weights)] == ["dense"] * len(weights)

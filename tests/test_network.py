@@ -97,10 +97,12 @@ class TestStepGuard:
         x0 = np.array([0.3, 0.0, 0.15, 0.0])
         bias_in = data.m_map @ x0 + data.bias
         lam0 = np.zeros(data.size)
-        assert not nm.network._euler(data.gamma, None, lam0, bias_in, ratio, round(200 / ratio), 1e-8)[1]
         net = nm.FiringRateNetwork(data=data, eta=1e-3)
+        pre, post = nm.network._synapses(net, data.gamma, None)
+        assert pre == data.gamma.dot and post is None  # the dense product at N = 2
+        assert not nm.network._euler(pre, post, lam0, bias_in, ratio, round(200 / ratio), 1e-8)[1]
         h_max, h = nm.step_limits(net)
-        assert nm.network._euler(data.gamma, None, lam0, bias_in, h, round(200 / h), 1e-8)[1]
+        assert nm.network._euler(pre, post, lam0, bias_in, h, round(200 / h), 1e-8)[1]
         multi = nm.MultilayerNetwork(
             omega1=data.gamma, omega2=-data.u_dual_map, psi=np.eye(data.size), eta=1e-3
         )
@@ -272,7 +274,8 @@ class TestStepLimits:
         fac = nm.harness._factorize(data, 480, 57_600)
         assert fac["at_floor"] and np.array_equal(fac["psi"], data.gamma)
         multi = nm.MultilayerNetwork(omega1=fac["omega1"], omega2=fac["omega2"], psi=fac["psi"])
-        assert multi._first_layer() is None  # omega1 is exactly the identity
+        # omega1 is exactly the identity, so its map is a wire
+        assert nm.network._synapses(multi, multi.omega1, multi.psi)[0] is nm.network._identity
         assert nm.step_limits(multi, data) == nm.step_limits(nm.FiringRateNetwork(data=data))
 
     def test_wire_error_equals_the_product_form(self, cart_pole_setup):
