@@ -20,7 +20,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -84,12 +84,20 @@ class ExperimentConfig:
     plant_model: PlantModel
     ts: float = 0.02
     horizon: int = 2
-    q: np.ndarray = None  # type: ignore[assignment]
-    r: np.ndarray = None  # type: ignore[assignment]
+    q: np.ndarray = field(default_factory=lambda: np.diag([10.0, 1.0, 500.0, 1.0]))
+    r: np.ndarray = field(default_factory=lambda: np.array([[0.1]]))
     p_term: np.ndarray | str = "dare"
-    state_con: StateConstraint = None  # type: ignore[assignment]
-    input_con: InputConstraint = None  # type: ignore[assignment]
-    x0: np.ndarray = None  # type: ignore[assignment]
+    state_con: StateConstraint = field(
+        default_factory=lambda: StateConstraint(
+            c_rows=np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]),
+            lower=np.array([-0.62, -0.1]),
+            upper=np.array([0.62, 1.0]),
+        )
+    )
+    input_con: InputConstraint = field(
+        default_factory=lambda: InputConstraint(lower=np.array([-10.0]), upper=np.array([12.0]))
+    )
+    x0: np.ndarray = field(default_factory=lambda: np.array([0.3, 0.0, 0.15, 0.0]))
     duration: float = 6.0
     variants: tuple[str, ...] = ("oracle", "single_layer", "multilayer_exact")
     eta: float = 1e-3
@@ -117,35 +125,29 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant {v!r}; valid: {VARIANTS}")
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"each variant may be listed once, got {list(self.variants)}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0 <= self.eps0 < np.inf:
             raise ValueError(f"eps0 must be nonnegative and finite, got {self.eps0}")
+        if not (0 < self.rho < np.inf and 1.0 / self.rho < np.inf):
+            raise ValueError(f"rho must be positive and finite, with 1/rho finite, got {self.rho}")
+        if not 0 <= self.prune_threshold < np.inf:
+            raise ValueError(
+                f"prune_threshold must be nonnegative and finite, got {self.prune_threshold}"
+            )
+        if not -np.inf < self.prune_shift < np.inf:
+            raise ValueError(f"prune_shift must be finite, got {self.prune_shift}")
         if not 0 < self.settle_tol < np.inf:
             raise ValueError(f"settle_tol must be positive and finite, got {self.settle_tol}")
-        for name in ("s_omega", "s_psi", "s_omega_approx", "s_psi_approx"):
-            budget = getattr(self, name)
-            if not isinstance(budget, numbers.Integral) or budget < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {budget!r}")
-        if self.q is None:
-            self.q = np.diag([10.0, 1.0, 500.0, 1.0])
-        if self.r is None:
-            self.r = np.array([[0.1]])
-        if self.state_con is None:
-            self.state_con = StateConstraint(
-                c_rows=np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]),
-                lower=np.array([-0.62, -0.1]),
-                upper=np.array([0.62, 1.0]),
-            )
-        if self.input_con is None:
-            self.input_con = InputConstraint(lower=np.array([-10.0]), upper=np.array([12.0]))
-        if self.x0 is None:
-            self.x0 = np.array([0.3, 0.0, 0.15, 0.0])
+        for name in ("horizon", "s_omega", "s_psi", "s_omega_approx", "s_psi_approx"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         self.x0 = np.asarray(self.x0, dtype=float)
         self._check_dimensions()
 
     def _check_dimensions(self):
-        """ValueError naming the first field whose shape does not fit the plant."""
+        """ValueError naming the first array field that misfits the plant or is not finite."""
         n, p = self.plant_model.state_dim, self.plant_model.input_dim
         sc, ic = self.state_con, self.input_con
         rows = sc.c_rows.shape[0]
@@ -164,8 +166,8 @@ class ExperimentConfig:
         for name, value, shape in expected:
             if np.shape(value) != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
-        if not np.isfinite(self.x0).all():
-            raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
     @classmethod
     def cart_pole_default(cls, **overrides) -> "ExperimentConfig":
@@ -311,13 +313,14 @@ def build_problem(config: ExperimentConfig) -> tuple[MpcProblem, CondensedQp, Ne
     return problem, qp, qp.network
 
 
-def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal):
-    """Control law ``x -> (u, settled)`` of one variant and its network's Euler
-    step dt/eta (None for the oracle); ``single_layer`` appends each sample's
-    settle trajectory to ``nominal`` unless it is None.  The laws call the
-    networks through this module's names, which the benchmark patches.
+def _controller(variant, config, qp, net, nominal):
+    """Control law ``x -> (u, settled)`` of one variant, run by ``net`` (None
+    for the oracle, which solves ``qp``), and its network's Euler step dt/eta
+    (None for the oracle); ``single_layer`` appends each sample's settle
+    trajectory to ``nominal`` unless it is None.  The laws call the networks
+    through this module's names, which the benchmark patches.
     """
-    if variant == "oracle":
+    if net is None:
         held = np.zeros(qp.upsilon_rows)
 
         def oracle(x):
@@ -333,15 +336,8 @@ def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal
         return oracle, None
 
     tol, budget, warm = config.settle_tol, config.ts, config.warm_start
-    if variant in ("multilayer_exact", "multilayer_approx"):
-        fac = factors[variant.removeprefix("multilayer_")]
-        net = MultilayerNetwork(
-            omega1=fac["omega1"],
-            omega2=fac["omega2"],
-            psi=fac["psi"],
-            eta=config.eta,
-            residual=fac["residual"],
-        )
+    if isinstance(net, MultilayerNetwork):
+        data = qp.network
 
         def multilayer(x):
             if not warm:
@@ -351,13 +347,6 @@ def _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal
 
         return multilayer, step_limits(net, data)[1]
 
-    if variant == "perturbed":
-        data = replace(data, gamma=gamma_pruned)
-    elif variant == "slack":
-        data = slack[0]
-    net = FiringRateNetwork(
-        data=data, eta=config.eta, eps0=config.eps0 if variant == "single_layer_eps" else 0.0
-    )
     record = nominal is not None and variant == "single_layer"
 
     def single_layer(x):
@@ -420,60 +409,115 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.nonlinear_plant and config.plant_model.cart_pole_params is None:
         raise ValueError("nonlinear plant requested but no cart-pole parameters present")
 
-    factors = {
-        key: _factorize(data, s_omega, s_psi)
-        for key, s_omega, s_psi in (
-            ("exact", config.s_omega, config.s_psi),
-            ("approx", config.s_omega_approx, config.s_psi_approx),
-        )
-        if f"multilayer_{key}" in config.variants
+    report: dict = {
+        "config": config.to_dict(),
+        "samples": n_samples,
+        "runtime_seconds": {},
+        "pairwise": {},
+        "constraint_violations": {},
+        "settled_fraction": {},
     }
-    if "exact" in factors and not factors["exact"]["at_floor"]:
-        log.warning(
-            "multilayer_exact is not exact: its factorization residual %.3g is above the "
-            "rounding floor at budgets s_omega = %d, s_psi = %d",
-            factors["exact"]["residual"], config.s_omega, config.s_psi,
-        )
-    pert = gamma_pruned = slack = None
-    if "perturbed" in config.variants:
-        pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
-        gamma_pruned = data.gamma + pert.delta
-    if "slack" in config.variants:
-        slack = augment_slack(qp, config.rho)
+    # Each transform runs once, in VARIANTS order whatever order the config
+    # lists, and adds its report entry and its graph's matrix where it runs:
+    # the order of both is the output format.  The graphs are extracted after
+    # the closed loops so that their edges do not add to the loops' peak memory.
+    graphs = {"gamma": (data.gamma, data.node_labels)}
+    nets = dict.fromkeys(config.variants)  # the oracle's entry stays None
+    pert = None
+    for variant in (v for v in VARIANTS if v in nets and v != "oracle"):
+        net_data = data
+        if variant == "multilayer_exact":
+            fac = _factorize(data, config.s_omega, config.s_psi)
+            if not fac["at_floor"]:
+                log.warning(
+                    "multilayer_exact is not exact: its factorization residual %.3g is above the "
+                    "rounding floor at budgets s_omega = %d, s_psi = %d",
+                    fac["residual"], config.s_omega, config.s_psi,
+                )
+            graphs["omega1"] = (fac["omega1"], None)
+            graphs["psi"] = (fac["psi"], None)
+        elif variant == "multilayer_approx":
+            fac = _factorize(data, config.s_omega_approx, config.s_psi_approx)
+        elif variant == "perturbed":
+            pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
+            report["perturbation"] = _perturbation_entry(config, data, pert)
+            net_data = replace(data, gamma=data.gamma + pert.delta)
+            graphs["gamma_pruned"] = (net_data.gamma, net_data.node_labels)
+        elif variant == "slack":
+            net_data, meta = augment_slack(qp, config.rho)
+            report["slack"] = {"rho": meta.rho, "m": meta.m, "m_s": meta.m_s}
+            graphs["gamma_slack"] = (net_data.gamma, net_data.node_labels)
+        if variant in ("multilayer_exact", "multilayer_approx"):
+            report.setdefault("factorization", {})[variant.removeprefix("multilayer_")] = {
+                **_factorization_entry(fac),
+                "nnz_omega": int(np.count_nonzero(np.vstack([fac["omega1"], fac["omega2"]]))),
+                "nnz_psi": int(np.count_nonzero(fac["psi"])),
+            }
+            nets[variant] = MultilayerNetwork(
+                omega1=fac["omega1"], omega2=fac["omega2"], psi=fac["psi"], eta=config.eta
+            )
+        else:
+            eps0 = config.eps0 if variant == "single_layer_eps" else 0.0
+            nets[variant] = FiringRateNetwork(data=net_data, eta=config.eta, eps0=eps0)
+    report["euler_step"] = {}
     # The nominal trajectories only feed the deviation bound, which needs mu < 1.
-    bound_due = pert is not None and pert.contracting and "single_layer" in config.variants
+    bound_due = pert is not None and pert.contracting and "single_layer" in nets
     nominal = [] if bound_due else None
 
     traces: dict[str, ClosedLoopTrace] = {}
-    runtimes: dict[str, float] = {}
     diverged: dict[str, float] = {}
-    euler_step: dict[str, float] = {}
     for variant in config.variants:
-        law, step = _controller(variant, config, qp, data, factors, gamma_pruned, slack, nominal)
+        law, step = _controller(variant, config, qp, nets[variant], nominal)
         if step is not None:
-            euler_step[variant] = step
+            report["euler_step"][variant] = step
         tic = time.perf_counter()
-        traces[variant], t_diverged = _run_loop(law, config, n_samples)
-        runtimes[variant] = time.perf_counter() - tic
+        trace, t_diverged = _run_loop(law, config, n_samples)
+        runtime = time.perf_counter() - tic
+        traces[variant] = trace
+        report["runtime_seconds"][variant] = round(runtime, 4)
+        report["constraint_violations"][variant] = {
+            "count": int(np.sum(trace.violation > 1e-6)),
+            "max_margin": float(np.max(trace.violation, initial=0.0)),
+        }
+        report["settled_fraction"][variant] = float(np.mean(trace.settled)) if len(trace.t) else 0.0
         if t_diverged is not None:
             diverged[variant] = t_diverged
             log.info("variant %s diverged at t = %.4g s", variant, t_diverged)
-        log.info("variant %s finished in %.2f s", variant, runtimes[variant])
+        log.info("variant %s finished in %.2f s", variant, runtime)
 
-    report = _build_report(config, traces, runtimes, data, factors, pert, slack, nominal)
-    report["euler_step"] = euler_step
-    if diverged:
-        report["diverged"] = diverged
-    graphs = {"gamma": extract_graph(data.gamma, labels=data.node_labels)}
-    if "exact" in factors:
-        graphs["omega1"] = extract_graph(factors["exact"]["omega1"])
-        graphs["psi"] = extract_graph(factors["exact"]["psi"])
-    if pert is not None:
-        graphs["gamma_pruned"] = extract_graph(gamma_pruned, labels=data.node_labels)
-    if slack is not None:
-        graphs["gamma_slack"] = extract_graph(slack[0].gamma, labels=slack[0].node_labels)
+    for i, a in enumerate(config.variants):
+        for b in config.variants[i + 1 :]:
+            report["pairwise"][f"{a}|{b}"] = {
+                "max_control_deviation": _max_deviation(traces[a].u, traces[b].u),
+                "max_state_deviation": _max_deviation(traces[a].x, traces[b].x),
+            }
+    if pert is not None and "single_layer" in nets:
+        entry = report["perturbation"]
+        if not pert.contracting:
+            # Uncertified (mu >= 1): the variant is recorded, but no bound holds.
+            entry["bound_checks"] = entry["min_margin"] = None
+        elif nominal:
+            checks = []
+            tr1, tr2 = traces["single_layer"], traces["perturbed"]
+            for j, traj in enumerate(nominal[: min(len(tr1.t), len(tr2.t))]):
+                bound = control_deviation_bound(
+                    data, pert.delta, tr1.x[j], tr2.x[j], traj, pert.mu
+                )
+                measured = float(np.linalg.norm(tr1.u[j] - tr2.u[j]))
+                checks.append(
+                    {
+                        "t": float(tr1.t[j]),
+                        "bound": bound,
+                        "measured": measured,
+                        "margin": bound - measured,
+                    }
+                )
+            entry["bound_checks"] = checks
+            entry["min_margin"] = min((c["margin"] for c in checks), default=None)
+    graphs = {name: extract_graph(w, labels=labels) for name, (w, labels) in graphs.items()}
     result = ExperimentResult(traces=traces, report=report, graphs=graphs)
     if diverged:
+        report["diverged"] = diverged
         raise ClosedLoopDiverged(result)
     return result
 
@@ -520,70 +564,6 @@ def _run_loop(law, config, n_samples) -> tuple[ClosedLoopTrace, float | None]:
         violation=viol_arr[:n_run],
     )
     return trace, t_diverged
-
-
-def _build_report(config, traces, runtimes, data, factors, pert, slack, nominal):
-    report: dict = {
-        "config": config.to_dict(),
-        "samples": int(round(config.duration / config.ts)),
-        "runtime_seconds": {k: round(v, 4) for k, v in runtimes.items()},
-        "pairwise": {},
-        "constraint_violations": {},
-        "settled_fraction": {},
-    }
-    names = list(traces)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            report["pairwise"][f"{a}|{b}"] = {
-                "max_control_deviation": _max_deviation(traces[a].u, traces[b].u),
-                "max_state_deviation": _max_deviation(traces[a].x, traces[b].x),
-            }
-    for name, tr in traces.items():
-        report["constraint_violations"][name] = {
-            "count": int(np.sum(tr.violation > 1e-6)),
-            "max_margin": float(np.max(tr.violation, initial=0.0)),
-        }
-        report["settled_fraction"][name] = float(np.mean(tr.settled)) if len(tr.t) else 0.0
-
-    if factors:
-        report["factorization"] = {
-            key: {
-                **_factorization_entry(fac),
-                "nnz_omega": int(np.count_nonzero(np.vstack([fac["omega1"], fac["omega2"]]))),
-                "nnz_psi": int(np.count_nonzero(fac["psi"])),
-            }
-            for key, fac in factors.items()
-        }
-
-    if pert is not None:
-        entry = _perturbation_entry(config, data, pert)
-        if not pert.contracting and "single_layer" in traces:
-            # Uncertified (mu >= 1): the variant is recorded, but no bound holds.
-            entry["bound_checks"] = entry["min_margin"] = None
-        elif nominal:
-            checks = []
-            tr1, tr2 = traces["single_layer"], traces["perturbed"]
-            for j, traj in enumerate(nominal[: min(len(tr1.t), len(tr2.t))]):
-                bound = control_deviation_bound(
-                    data, pert.delta, tr1.x[j], tr2.x[j], traj, pert.mu
-                )
-                measured = float(np.linalg.norm(tr1.u[j] - tr2.u[j]))
-                checks.append(
-                    {
-                        "t": float(tr1.t[j]),
-                        "bound": bound,
-                        "measured": measured,
-                        "margin": bound - measured,
-                    }
-                )
-            entry["bound_checks"] = checks
-            entry["min_margin"] = min((c["margin"] for c in checks), default=None)
-        report["perturbation"] = entry
-
-    if slack is not None:
-        _, meta = slack
-        report["slack"] = {"rho": meta.rho, "m": meta.m, "m_s": meta.m_s}
-    return report
 
 
 def _max_deviation(p: np.ndarray, q: np.ndarray) -> float | None:
@@ -633,13 +613,6 @@ def qp_to_json(qp: CondensedQp, data: NetworkData) -> dict:
     return {**_encode(qp), "network": network}
 
 
-def _write_or_print(text: str, out: str | None):
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _load_config(path: str | None, **flags) -> ExperimentConfig:
     config = (
         ExperimentConfig.cart_pole_default() if path is None else ExperimentConfig.from_json(path)
@@ -666,75 +639,94 @@ def _load_matrix(path: str) -> tuple[np.ndarray, list[str] | None]:
     return np.array(doc, dtype=float), labels
 
 
-def _cmd_condense(args) -> int:
+def _cmd_condense(args) -> str:
     config = _load_config(args.config)
     _, qp, data = build_problem(config)
-    _write_or_print(json.dumps(qp_to_json(qp, data), indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(qp_to_json(qp, data), indent=2) + "\n"
 
 
-def _cmd_simulate(args) -> int:
+def _write_result(result: ExperimentResult, out: Path, trace_dir: Path) -> None:
+    """One CSV per trace in ``trace_dir``, and the report in ``out``."""
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    for name, trace in result.traces.items():
+        write_trace_csv(trace, trace_dir / f"{name}.csv")
+    (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n")
+
+
+def _cmd_simulate(args) -> None:
     config = _load_config(args.config)
     try:
         result = run_experiment(config)
     except ClosedLoopDiverged as exc:  # recorded in the report, not a failure here
         result = exc.result
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, trace in result.traces.items():
-        write_trace_csv(trace, out / f"{name}.csv")
-    (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n")
-    log.info("wrote %d traces to %s", len(result.traces), out)
-    return 0
+    _write_result(result, Path(args.out), Path(args.out))
+    log.info("wrote %d traces to %s", len(result.traces), args.out)
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> str:
     config = _load_config(args.config, s_omega=args.s_omega, s_psi=args.s_psi)
     _, _, data = build_problem(config)
     fac = _factorize(data, config.s_omega, config.s_psi)
     doc = {"s_omega": config.s_omega, "s_psi": config.s_psi, **_factorization_entry(fac)}
     doc.update((key, fac[key].tolist()) for key in ("omega1", "omega2", "psi"))
-    _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args) -> str:
     config = _load_config(args.config, prune_threshold=args.threshold, prune_shift=args.shift)
     _, _, data = build_problem(config)
     pert = prune_edges(data.gamma, config.prune_threshold, config.prune_shift)
     doc = {**_perturbation_entry(config, data, pert), "delta": pert.delta.tolist()}
-    _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> str:
     matrix, labels = _load_matrix(args.matrix)
     graph = extract_graph(matrix, threshold=args.threshold, labels=labels)
-    payload = export_graph(graph, format=args.format).decode()
-    _write_or_print(payload, args.out)
-    return 0
+    return export_graph(graph, format=args.format).decode()
 
 
-def _cmd_reproduce(args) -> int:
-    config = ExperimentConfig.cart_pole_default(variants=VARIANTS)
-    result = run_experiment(config)
+def _cmd_reproduce(args) -> None:
+    result = run_experiment(ExperimentConfig.cart_pole_default(variants=VARIANTS))
     out = Path(args.out)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-    (out / "graphs").mkdir(parents=True, exist_ok=True)
-    for name, trace in result.traces.items():
-        write_trace_csv(trace, out / "traces" / f"{name}.csv")
-    for name, graph in result.graphs.items():
-        (out / "graphs" / f"{name}.json").write_bytes(export_graph(graph, "json"))
-        (out / "graphs" / f"{name}.dot").write_bytes(export_graph(graph, "dot"))
+    _write_result(result, out, out / "traces")
+    (out / "graphs").mkdir(exist_ok=True)
     lines = ["matrix,degree,in_count,out_count"]
     for name, graph in result.graphs.items():
+        for fmt in ("json", "dot"):
+            (out / "graphs" / f"{name}.{fmt}").write_bytes(export_graph(graph, fmt))
         in_hist, out_hist = degree_distributions(graph)
-        for k in range(len(in_hist)):
-            lines.append(f"{name},{k},{in_hist[k]},{out_hist[k]}")
+        for k, (n_in, n_out) in enumerate(zip(in_hist, out_hist)):
+            lines.append(f"{name},{k},{n_in},{n_out}")
     (out / "degree_distributions.csv").write_text("\n".join(lines) + "\n")
-    (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n")
     sys.stdout.write(f"benchmark suite written to {out}\n")
-    return 0
+
+
+_CONFIG = ("--config", {"help": "experiment config JSON (default: built-in benchmark)"})
+_OUT = ("--out", {"default": "-", "help": "output path (default stdout)"})
+
+# One row per subcommand: its name, handler and help, then its flags, each a
+# name and its ``add_argument`` keywords.  A handler returns the document to
+# write to ``--out``, or None when it wrote its own files.
+_COMMANDS = (
+    ("condense", _cmd_condense, "emit the condensed QP and network weights as JSON", _CONFIG, _OUT),
+    ("simulate", _cmd_simulate, "run a closed-loop experiment from a config file", _CONFIG,
+     ("--out", {"required": True, "help": "output directory for CSV traces + report"})),
+    ("factorize", _cmd_factorize, "factorize the network with nonzero budgets", _CONFIG,
+     ("--s-omega", {"type": int, "help": "omega budget (default: the config's s_omega)"}),
+     ("--s-psi", {"type": int, "help": "psi budget (default: the config's s_psi)"}),
+     _OUT),
+    ("perturb", _cmd_perturb, "prune edges and report the contraction check", _CONFIG,
+     ("--threshold", {"type": float}), ("--shift", {"type": float}), _OUT),
+    ("analyze", _cmd_analyze, "extract a graph from a matrix JSON and export it",
+     ("--matrix", {"required": True, "help": "JSON file with a square matrix"}),
+     ("--format", {"choices": ("json", "dot"), "default": "json"}),
+     ("--threshold", {"type": float, "default": 1e-5}),
+     _OUT),
+    ("reproduce-paper", _cmd_reproduce,
+     "run the full cart-pole benchmark suite and write traces, graphs, and the report",
+     ("--out", {"required": True, "help": "output directory"})),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -743,44 +735,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile constrained linear MPC into firing-rate networks and study them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("condense", help="emit the condensed QP and network weights as JSON")
-    p.add_argument("--config", help="experiment config JSON (default: built-in benchmark)")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_condense)
-
-    p = sub.add_parser("simulate", help="run a closed-loop experiment from a config file")
-    p.add_argument("--config", help="experiment config JSON (default: built-in benchmark)")
-    p.add_argument("--out", required=True, help="output directory for CSV traces + report")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("factorize", help="factorize the network with nonzero budgets")
-    p.add_argument("--config", help="experiment config JSON (default: built-in benchmark)")
-    p.add_argument("--s-omega", type=int, help="omega budget (default: the config's s_omega)")
-    p.add_argument("--s-psi", type=int, help="psi budget (default: the config's s_psi)")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_factorize)
-
-    p = sub.add_parser("perturb", help="prune edges and report the contraction check")
-    p.add_argument("--config", help="experiment config JSON (default: built-in benchmark)")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_perturb)
-
-    p = sub.add_parser("analyze", help="extract a graph from a matrix JSON and export it")
-    p.add_argument("--matrix", required=True, help="JSON file with a square matrix")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--threshold", type=float, default=1e-5)
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser(
-        "reproduce-paper",
-        help="run the full cart-pole benchmark suite and write traces, graphs, and the report",
-    )
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_reproduce)
+    for name, func, help_text, *flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -800,7 +759,13 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if text is not None:
+            if args.out == "-":
+                sys.stdout.write(text)
+            else:
+                Path(args.out).write_text(text)
+        return 0
     except (
         ValueError,
         OSError,

@@ -53,11 +53,11 @@ def prune_edges(gamma: np.ndarray, threshold: float, diag_shift: float) -> Pertu
 
     Returns delta = (pruned gamma - gamma) - diag_shift * I together with the
     contraction check of the perturbed matrix (carried in the result, never
-    raised).  Raises ``ValueError`` for a negative threshold or a diag_shift
-    that is not finite.
+    raised).  Raises ``ValueError`` for a threshold that is negative or NaN, or a
+    diag_shift that is not finite.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:  # NaN too
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if not math.isfinite(diag_shift):
         raise ValueError(f"diag_shift must be finite, got {diag_shift}")
     gamma = np.asarray(gamma, dtype=float)

@@ -142,6 +142,11 @@ class TestExtractGraph:
         with pytest.raises(ValueError):
             nm.extract_graph(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("threshold", [-1.0, np.nan])
+    def test_refused_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            nm.extract_graph(np.eye(3), threshold=threshold)
+
 
 class TestDegreeDistributions:
     def test_empty_graph_mass_at_zero(self):

@@ -335,6 +335,20 @@ class TestRunExperiment:
         assert record.levelno == logging.WARNING
         assert "multilayer_exact is not exact" in record.getMessage()
 
+    def test_outputs_keep_transform_order(self):
+        # The transforms run in a fixed order, whatever order the variants are
+        # listed in; the traces keep the listed order.
+        variants = ("slack", "perturbed", "multilayer_approx", "multilayer_exact", "oracle")
+        result = nm.run_experiment(small_config(duration=0.1, variants=variants))
+        assert list(result.traces) == list(variants)
+        assert list(result.report) == [
+            "config", "samples", "runtime_seconds", "pairwise", "constraint_violations",
+            "settled_fraction", "factorization", "perturbation", "slack", "euler_step",
+        ]
+        assert list(result.report["factorization"]) == ["exact", "approx"]
+        assert list(result.report["euler_step"]) == list(variants[:-1])
+        assert list(result.graphs) == ["gamma", "omega1", "psi", "gamma_pruned", "gamma_slack"]
+
     def test_gamma_graph_always_present(self):
         result = nm.run_experiment(small_config())
         assert "gamma" in result.graphs
@@ -477,10 +491,18 @@ class TestCli:
             ({"settle_tol": -1, "variants": ["oracle"], "duration": 0.1}, "settle_tol"),
             ({"s_omega": 0, "duration": 0.1, "variants": ["oracle", "single_layer"]}, "s_omega"),
             ({"s_psi_approx": -1, "variants": ["oracle"], "duration": 0.1}, "s_psi_approx"),
+            ({"rho": 0, "variants": ["oracle"], "duration": 0.1}, "rho"),
+            ({"prune_threshold": float("nan"), "variants": ["oracle"], "duration": 0.1},
+             "prune_threshold"),
+            ({"prune_threshold": -1, "variants": ["oracle"], "duration": 0.1}, "prune_threshold"),
+            ({"prune_shift": float("nan"), "variants": ["oracle"], "duration": 0.1}, "prune_shift"),
+            ({"eta": float("inf"), "variants": ["oracle"], "duration": 0.1}, "eta"),
+            ({"horizon": 0, "variants": ["oracle"], "duration": 0.1}, "horizon"),
         ],
         ids=[
             "eps0_nan", "eta_negative", "settle_tol_nan", "settle_tol_inf", "settle_tol_negative",
-            "s_omega_zero", "s_psi_approx_negative",
+            "s_omega_zero", "s_psi_approx_negative", "rho_zero", "prune_threshold_nan",
+            "prune_threshold_negative", "prune_shift_nan", "eta_inf", "horizon_zero",
         ],
     )
     def test_network_parameters_exit_1(self, tmp_path, capsys, doc, field):
@@ -494,6 +516,18 @@ class TestCli:
         assert captured.err.startswith(f"error: {field} ")
         assert "Traceback" not in captured.err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["perturb", "analyze"])
+    def test_nan_threshold_exit_1(self, tmp_path, capsys, command):
+        argv = [command, "--threshold", "nan"]
+        if command == "analyze":
+            matrix = tmp_path / "m.json"
+            matrix.write_text(json.dumps([[0.0, 1.0], [1.0, 0.0]]))
+            argv += ["--matrix", str(matrix)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must be nonnegative" in captured.err
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -524,8 +558,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "doc, field",
-        [({"x0": [0.3, 0, 0.15]}, "x0"), ({"x0": None}, "x0"), ({"q": [1.0]}, "q")],
-        ids=["x0_short", "x0_null", "q_1x1"],
+        [
+            ({"x0": [0.3, 0, 0.15]}, "x0"),
+            ({"x0": None}, "x0"),
+            ({"q": [1.0]}, "q"),
+            ({"q": [float("nan"), 1, 500, 1], "variants": ["oracle"]}, "q"),
+            ({"input_constraints": {"lower": [-10], "upper": [float("inf")]},
+              "variants": ["single_layer"]}, "input_con.upper"),
+        ],
+        ids=["x0_short", "x0_null", "q_1x1", "q_nan", "input_upper_inf"],
     )
     def test_config_dimensions_exit_1(self, tmp_path, capsys, doc, field):
         cfg = tmp_path / "dims.json"
@@ -586,3 +627,24 @@ class TestCli:
         assert report["perturbation"]["min_margin"] >= 0.0
         assert report["pairwise"]["oracle|single_layer"]["max_control_deviation"] <= 1e-3
         assert report["pairwise"]["oracle|slack"]["max_control_deviation"] <= 1e-2
+
+    def test_reproduce_layout(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert cli_main(["reproduce-paper", "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "config", "samples", "runtime_seconds", "pairwise", "constraint_violations",
+            "settled_fraction", "factorization", "perturbation", "slack", "euler_step",
+        ]
+        assert list(report["factorization"]) == ["exact", "approx"]
+        assert list(report["perturbation"]) == [
+            "threshold", "diag_shift", "contracting", "mu", "nnz_before", "nnz_after",
+            "bound_checks", "min_margin",
+        ]
+        matrices = ["gamma", "omega1", "psi", "gamma_pruned", "gamma_slack"]
+        graphs = sorted(path.name for path in (out / "graphs").iterdir())
+        assert graphs == sorted(f"{name}.{fmt}" for name in matrices for fmt in ("json", "dot"))
+        rows = (out / "degree_distributions.csv").read_text().splitlines()
+        assert rows[0] == "matrix,degree,in_count,out_count"
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows[1:])) == matrices

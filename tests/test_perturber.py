@@ -92,10 +92,11 @@ class TestPruneEdges:
         assert np.all(off == 0.0)
         assert np.allclose(np.diag(perturbed), np.diag(data.gamma) - 1e-4)
 
-    def test_negative_threshold_rejected(self, cart_pole_setup):
+    @pytest.mark.parametrize("threshold", [-1.0, np.nan])
+    def test_negative_threshold_rejected(self, cart_pole_setup, threshold):
         _, _, _, data = cart_pole_setup
-        with pytest.raises(ValueError):
-            nm.prune_edges(data.gamma, -1.0, 0.0)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            nm.prune_edges(data.gamma, threshold, 0.0)
 
     @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_rejected(self, cart_pole_setup, shift):
