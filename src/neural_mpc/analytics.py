@@ -103,7 +103,8 @@ def export_graph(graph: NetworkGraph, format: str = "json") -> bytes:
     """Serialize a graph deterministically (edges sorted by (from, to, weight)).
 
     JSON schema: {"nodes": [{"id", "label"}], "edges": [{"from", "to",
-    "weight"}]}.  DOT output is a plain digraph loadable by standard viewers.
+    "weight"}]}.  DOT output is a plain digraph loadable by standard viewers;
+    each label is quoted, with its backslashes and double quotes escaped.
     """
     order = np.lexsort((graph.weight, graph.dst, graph.src))
     edges = zip(
@@ -122,8 +123,9 @@ def export_graph(graph: NetworkGraph, format: str = "json") -> bytes:
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     if format == "dot":
         lines = ["digraph network {"]
-        for i in range(graph.node_count):
-            lines.append(f'  {i} [label="{graph.node_labels[i]}"];')
+        for i, label in enumerate(graph.node_labels):
+            label = str(label).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {i} [label="{label}"];')
         for src, dst, w in edges:
             lines.append(f'  {src} -> {dst} [label="{w!r}"];')
         lines.append("}")

@@ -362,16 +362,18 @@ def _controller(variant, config, qp, net, nominal):
     return single_layer, step_limits(net)[1]
 
 
-def _factorize(data: NetworkData, s_omega: int, s_psi: int):
+def _factorize(data: NetworkData, s_omega: int | None = None, s_psi: int | None = None):
     theta = stack_target(data.gamma, data.u_dual_map)
-    prob = FactorizationProblem(theta=theta, s_omega=s_omega, s_psi=s_psi)
     # Start from the zero-residual factorization with an identity hidden layer
     # (when the synaptic matrix is invertible) so the sparsified factors keep
     # the recurrence in the second layer rather than mirroring it.
     try:
         omega0, psi0 = identity_layer_init(data.gamma, data.u_dual_map)
     except np.linalg.LinAlgError:
-        omega0 = psi0 = None
+        omega0, psi0 = theta, np.eye(theta.shape[1])
+    if s_omega is None:  # the start's own nonzeros: PALM returns an exact start as it is
+        s_omega, s_psi = np.count_nonzero(omega0), np.count_nonzero(psi0)
+    prob = FactorizationProblem(theta=theta, s_omega=s_omega, s_psi=s_psi)
     omega, psi, history = palm_factorize(prob, omega0=omega0, psi0=psi0)
     omega1, omega2 = split_factors(omega, data.u_dual_map.shape[0])
     return {
@@ -394,9 +396,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     statistics, factorization residuals, deviation-bound checks for the
     pruned variant, and each network variant's Euler step dt/eta
     (``euler_step``).  Each factorization entry records ``at_floor``, whether
-    its residual is at PALM's rounding floor; a ``multilayer_exact`` whose
-    factors are not exact (budgets below their nonzeros) runs and logs a
-    warning.  A pruned network whose contraction check fails still
+    its residual is at PALM's rounding floor.  ``multilayer_exact`` takes its
+    budgets from the nonzeros of its exact start, so it is exact unless that
+    start is above the floor (an ill-conditioned gamma); then it runs and logs
+    a warning.  A pruned network whose contraction check fails still
     runs; its report entry then has ``bound_checks`` and ``min_margin`` null.
     A variant whose control or state turns non-finite stops there and the
     others still run; then ``ClosedLoopDiverged`` is raised, carrying the
@@ -427,12 +430,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for variant in (v for v in VARIANTS if v in nets and v != "oracle"):
         net_data = data
         if variant == "multilayer_exact":
-            fac = _factorize(data, config.s_omega, config.s_psi)
+            fac = _factorize(data)
             if not fac["at_floor"]:
                 log.warning(
                     "multilayer_exact is not exact: its factorization residual %.3g is above the "
-                    "rounding floor at budgets s_omega = %d, s_psi = %d",
-                    fac["residual"], config.s_omega, config.s_psi,
+                    "rounding floor", fac["residual"],
                 )
             graphs["omega1"] = (fac["omega1"], None)
             graphs["psi"] = (fac["psi"], None)
@@ -534,8 +536,6 @@ def _run_loop(law, config, n_samples) -> tuple[ClosedLoopTrace, float | None]:
     x_arr = np.zeros((n_samples, model.state_dim))
     u_arr = np.zeros((n_samples, model.input_dim))
     settled_arr = np.zeros(n_samples, dtype=bool)
-    viol_arr = np.zeros(n_samples)
-    sc = config.state_con
     n_run, t_diverged = n_samples, None
     for j in range(n_samples):
         finite = np.isfinite(x).all()
@@ -545,23 +545,19 @@ def _run_loop(law, config, n_samples) -> tuple[ClosedLoopTrace, float | None]:
         if not finite:
             n_run, t_diverged = j, j * ts
             break
-        u_arr[j], settled_arr[j] = u, settled
-        x_arr[j] = x
-        out = sc.c_rows @ x
-        viol_arr[j] = max(
-            0.0, float(np.max(np.maximum(out - sc.upper, sc.lower - out)))
-        )
+        x_arr[j], u_arr[j], settled_arr[j] = x, u, settled
         if config.nonlinear_plant:
             x = propagate_nonlinear_cartpole(model.cart_pole_params, x, u_arr[j], ts)
         else:
             x = propagate_linear(model, x, u_arr[j], ts)
-    t_arr = np.arange(n_run) * ts
+    sc = config.state_con
+    out = x_arr[:n_run] @ sc.c_rows.T
     trace = ClosedLoopTrace(
-        t=t_arr,
+        t=np.arange(n_run) * ts,
         x=x_arr[:n_run],
         u=u_arr[:n_run],
         settled=settled_arr[:n_run],
-        violation=viol_arr[:n_run],
+        violation=np.maximum(out - sc.upper, sc.lower - out).max(axis=1, initial=0.0),
     )
     return trace, t_diverged
 
@@ -597,12 +593,9 @@ def write_trace_csv(trace: ClosedLoopTrace, path: str | Path) -> None:
     header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(p)]
     header.append("settled")
     lines = [",".join(header)]
-    for j in range(len(trace.t)):
-        cells = [repr(float(trace.t[j]))]
-        cells += [repr(float(v)) for v in trace.x[j]]
-        cells += [repr(float(v)) for v in trace.u[j]]
-        cells.append(str(int(trace.settled[j])))
-        lines.append(",".join(cells))
+    rows = np.column_stack([trace.t, trace.x, trace.u]).tolist()
+    for row, settled in zip(rows, trace.settled.tolist()):
+        lines.append(",".join(map(repr, row)) + f",{int(settled)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -621,21 +614,23 @@ def _load_config(path: str | None, **flags) -> ExperimentConfig:
 
 
 def _load_matrix(path: str) -> tuple[np.ndarray, list[str] | None]:
+    """The matrix of a file holding nested lists, ``{"gamma" or "matrix": ...,
+    "labels": [...]}`` or a ``condense`` document, and its node labels."""
     with open(path) as fh:
         doc = json.load(fh)
     labels = None
     if isinstance(doc, dict):
+        if "gamma" not in doc and "matrix" not in doc and isinstance(doc.get("network"), dict):
+            # a ``condense`` document: the QP's rows name the nodes
+            doc = {"gamma": doc["network"].get("gamma"), "labels": doc.get("row_labels")}
         labels = doc.get("labels")
-        for key in ("gamma", "matrix"):
-            if key in doc:
-                doc = doc[key]
-                break
-        else:
-            if "network" in doc:  # a ``condense`` document: the QP's rows name the nodes
-                labels = doc.get("row_labels")
-                doc = doc["network"]["gamma"]
-            else:
-                raise ValueError(f"no matrix found in {path}")
+        doc = doc.get("gamma", doc.get("matrix"))
+        if doc is None:
+            raise ValueError(f"no matrix found in {path}")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise ValueError(f"labels in {path} must be a list of strings, got {labels!r}")
     return np.array(doc, dtype=float), labels
 
 

@@ -18,6 +18,20 @@ from neural_mpc.harness import cli_main
 # control is no longer finite at sample 9 (t = 0.18 s), where |x| ~ 1.2e282.
 DIVERGING = dict(variants=("single_layer", "perturbed"), prune_shift=-5.0, duration=2.0)
 
+# A process that runs the command line with PALM's residual history forced
+# above the rounding floor; the factors themselves stay exact.
+FORCE_INEXACT = """
+import sys
+import numpy as np
+from neural_mpc import harness
+palm = harness.palm_factorize
+def inexact(prob, **starts):
+    omega, psi, _ = palm(prob, **starts)
+    return omega, psi, np.array([1.0])
+harness.palm_factorize = inexact
+sys.exit(harness.cli_main(sys.argv[1:]))
+"""
+
 
 def small_config(**overrides):
     defaults = dict(
@@ -318,22 +332,56 @@ class TestRunExperiment:
             nm.settle_multilayer(multi, data, x, **budget)
             assert np.array_equal(u, nm.extract_control_multilayer(multi, data, x))
 
-    def test_factorization_records_at_floor(self, caplog):
-        # At N = 2 the 144/144 budgets cover identity_layer_init's nonzeros and
-        # its exact start is kept; at N = 4 psi0 = gamma has 576 nonzeros, so
-        # the "exact" factors are cut to 144 and are not exact.
-        variants = ("multilayer_exact",)
+    def test_factorization_records_at_floor(self, caplog, monkeypatch):
+        # The exact variant's budgets are its exact start's own nonzeros, so
+        # PALM keeps that start at every horizon and the network follows the
+        # oracle; at N = 4 psi0 = gamma has 576 nonzeros, over the config's 144.
+        variants = ("oracle", "multilayer_exact")
+        for horizon in (2, 4, 10):
+            with caplog.at_level(logging.WARNING, logger="neural_mpc"):
+                result = nm.run_experiment(
+                    small_config(horizon=horizon, duration=2.0, variants=variants)
+                )
+            entry = result.report["factorization"]["exact"]
+            assert entry["at_floor"] is True and entry["iterations"] == 1
+            assert entry["nnz_psi"] == (6 * horizon) ** 2
+            deviation = result.report["pairwise"]["oracle|multilayer_exact"]
+            assert deviation["max_control_deviation"] <= 1e-6
+            assert not caplog.records
+        # A factorization above its floor still runs, and says so.
+        palm = nm.harness.palm_factorize
+
+        def inexact(prob, **starts):
+            omega, psi, _ = palm(prob, **starts)
+            return omega, psi, np.array([1.0])
+
+        monkeypatch.setattr(nm.harness, "palm_factorize", inexact)
         with caplog.at_level(logging.WARNING, logger="neural_mpc"):
-            two = nm.run_experiment(small_config(variants=variants))
-        assert two.report["factorization"]["exact"]["at_floor"] is True
-        assert not caplog.records
-        with caplog.at_level(logging.WARNING, logger="neural_mpc"):
-            four = nm.run_experiment(small_config(horizon=4, variants=variants))
-        entry = four.report["factorization"]["exact"]
-        assert entry["at_floor"] is False and entry["residual"] > 1e-10
+            forced = nm.run_experiment(small_config(variants=variants))
+        assert forced.report["factorization"]["exact"]["at_floor"] is False
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert "multilayer_exact is not exact" in record.getMessage()
+
+    def test_exact_variant_reads_no_budget(self):
+        variants = ("multilayer_exact",)
+        default = nm.run_experiment(small_config(variants=variants))
+        starved = nm.run_experiment(small_config(variants=variants, s_omega=1, s_psi=1))
+        a, b = default.traces["multilayer_exact"], starved.traces["multilayer_exact"]
+        for name in ("t", "x", "u", "settled", "violation"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert default.report["factorization"] == starved.report["factorization"]
+
+    def test_no_state_constraint_rows(self):
+        # Only the input box binds: every variant runs and no state is violated.
+        free = nm.StateConstraint(c_rows=np.zeros((0, 4)), lower=[], upper=[])
+        result = nm.run_experiment(small_config(variants=nm.harness.VARIANTS, state_con=free))
+        assert list(result.traces) == list(nm.harness.VARIANTS)
+        for variant, trace in result.traces.items():
+            assert len(trace.t) == 10 and np.array_equal(trace.violation, np.zeros(10))
+            assert result.report["constraint_violations"][variant] == {
+                "count": 0, "max_margin": 0.0,
+            }
 
     def test_outputs_keep_transform_order(self):
         # The transforms run in a fixed order, whatever order the variants are
@@ -362,6 +410,26 @@ class TestCsv:
         nm.write_trace_csv(result.traces["oracle"], path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1,x2,x3,x4,u1,settled"
+
+    def test_bytes_of_a_hand_built_trace(self, tmp_path):
+        trace = nm.ClosedLoopTrace(
+            t=np.array([0.0, 0.1]),
+            x=np.array([[-0.0, 5e-324], [1e16, -2.5]]),
+            u=np.array([[0.1], [-0.0]]),
+            settled=np.array([True, False]),
+            violation=np.zeros(2),
+        )
+        path = tmp_path / "trace.csv"
+        nm.write_trace_csv(trace, path)
+        assert path.read_bytes() == (
+            b"t,x1,x2,u1,settled\n0.0,-0.0,5e-324,0.1,1\n0.1,1e+16,-2.5,-0.0,0\n"
+        )
+        empty = nm.ClosedLoopTrace(
+            t=np.zeros(0), x=np.zeros((0, 4)), u=np.zeros((0, 1)),
+            settled=np.zeros(0, dtype=bool), violation=np.zeros(0),
+        )
+        nm.write_trace_csv(empty, path)
+        assert path.read_bytes() == b"t,x1,x2,x3,x4,u1,settled\n"
 
     def test_deterministic_output(self, tmp_path):
         paths = []
@@ -408,20 +476,19 @@ class TestCli:
         assert len((out / "single_layer.csv").read_text().splitlines()) == 1 + 100
         capsys.readouterr()
 
-    @pytest.mark.parametrize("horizon, warned", [(4, True), (2, False)])
+    @pytest.mark.parametrize("horizon, warned", [(4, True), (2, False), (4, False), (10, False)])
     def test_inexact_factorization_warns_by_default(self, tmp_path, horizon, warned):
         # a fresh process, as from the command line: the default log level
-        # prints the warning at N = 4 and nothing at N = 2, where the
-        # factorization is at its rounding floor
+        # prints the warning where PALM's residual is forced above its floor,
+        # and nothing where the factorization is at its rounding floor
         cfg = tmp_path / "cfg.json"
         variants = ["oracle", "multilayer_exact"]
         cfg.write_text(json.dumps({"horizon": horizon, "duration": 0.1, "variants": variants}))
         env = {k: v for k, v in os.environ.items() if k != "NEURAL_MPC_LOG"}
         env["PYTHONPATH"] = str(Path(nm.__file__).parents[1])
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
-        run = subprocess.run(
-            [sys.executable, "-m", "neural_mpc", *argv], env=env, capture_output=True, text=True
-        )
+        main = ["-c", FORCE_INEXACT] if warned else ["-m", "neural_mpc"]
+        run = subprocess.run([sys.executable, *main, *argv], env=env, capture_output=True, text=True)
         assert run.returncode == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["factorization"]["exact"]["at_floor"] is not warned
@@ -444,6 +511,29 @@ class TestCli:
         graph = json.loads(capsys.readouterr().out)
         _, _, qp, _ = cart_pole_setup
         assert [node["label"] for node in graph["nodes"]] == qp.row_labels
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"matrix": [[0, 1], [2, 0]], "labels": "ab"}, "labels in "),
+            ({"matrix": [[0, 1], [2, 0]], "labels": ["a", 2]}, "labels in "),
+            ({"m": 2, "row_labels": ["a", "b"], "network": {"theta": []}}, "no matrix found in "),
+            ({"labels": ["a", "b"]}, "no matrix found in "),
+        ],
+        ids=["labels_string", "label_not_string", "condense_without_gamma", "no_matrix"],
+    )
+    def test_analyze_malformed_matrix_file_exit_1(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["analyze", "--matrix", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_analyze_dot_escapes_labels(self, tmp_path, capsys):
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps({"matrix": [[0, 1], [2, 0]], "labels": ['a"b', "c\\"]}))
+        assert cli_main(["analyze", "--matrix", str(path), "--format", "dot"]) == 0
+        out = capsys.readouterr().out
+        assert '0 [label="a\\"b"];' in out and '1 [label="c\\\\"];' in out
 
     def test_analyze_missing_file_exit_1(self, capsys):
         assert cli_main(["analyze", "--matrix", "/nonexistent.json"]) == 1
