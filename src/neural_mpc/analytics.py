@@ -69,13 +69,16 @@ def extract_graph(
     Edge (j -> i) is present iff i != j and |w[i, j]| > threshold: column j
     feeds row i, since w @ lam reads column entries as inputs to row units.
     Comparison is strict, on the absolute value.  A threshold that is
-    negative or NaN raises ``ValueError``.
+    negative or NaN, or a matrix with a non-finite entry, raises
+    ``ValueError``.
     """
     if not threshold >= 0:  # NaN too
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("matrix entries must be finite")
     n = w.shape[0]
     mask = np.abs(w) > threshold
     np.fill_diagonal(mask, False)

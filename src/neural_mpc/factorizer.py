@@ -4,11 +4,13 @@ Factorizes the stacked matrix theta = [gamma; -u_dual_map] into omega @ psi
 under hard nonzero budgets on each factor, using proximal alternating
 linearized minimization (PALM): alternating gradient steps on the squared
 Frobenius residual, each followed by a hard-threshold projection onto the
-nonzero budget.  Once a sweep leaves both supports unchanged, a second sweep
-from an inertially extrapolated point (iPALM, Pock & Sabach 2016) is tried,
-and kept only when it keeps the supports and lowers the residual below the
-plain sweep's, so the residual history stays non-increasing.  The history
-holds one entry per kept step, and so do the step counts reported from it.
+nonzero budget.  Once a step leaves both supports unchanged, the next step
+sweeps first from an inertially extrapolated point (iPALM, Pock & Sabach
+2016), and keeps that sweep only when it keeps the supports and lowers the
+residual; otherwise it takes the plain sweep and restarts the momentum
+(O'Donoghue & Candes 2015).  A step thus runs one sweep, two only on a
+restart.  The history holds one entry per kept step, and so do the step
+counts reported from it.
 A start that already fits both budgets with a residual at the rounding floor
 (``FactorizationProblem.floor``) is returned as it is, since a sweep could
 only add rounding noise to it; ``identity_layer_init``'s exact factors are
@@ -126,10 +128,6 @@ def _sweep(
     return omega, psi, math.sqrt(flat.dot(flat))
 
 
-def _same_support(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a != 0, b != 0)
-
-
 def palm_factorize(
     prob: FactorizationProblem,
     omega0: np.ndarray | None = None,
@@ -137,17 +135,18 @@ def palm_factorize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run PALM with a monotone inertial step on a FactorizationProblem.
 
-    Each step first takes the plain sweep (``_sweep``) from the current
-    iterate x.  If that sweep left the supports of both factors unchanged, a
-    second sweep runs from the extrapolated point x + a_k (x - x_prev), with
-    a_k = (t_k - 1)/t_{k+1} and the FISTA sequence
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, t_1 = 1 (after iPALM, Pock & Sabach
-    2016).  Its result is kept only if it, too, leaves both supports unchanged
-    and its residual is strictly below the plain sweep's; otherwise the plain
-    result is kept and t restarts at 1.  No extrapolated sweep runs while
-    a_k = 0.  By default the iteration starts at the exact identity
-    factorization omega = theta, psi = I (zero residual), so sparsification
-    proceeds from an exact point.
+    Each step has the momentum a_k = (t_k - 1)/t_{k+1} of the FISTA sequence
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, t_1 = 1.  While a_k = 0 the step is
+    the plain sweep (``_sweep``) from the current iterate x, and t advances
+    only if that sweep left the supports of both factors unchanged.  Once
+    a_k > 0, the step first sweeps from the extrapolated point
+    x + a_k (x - x_prev) (after iPALM, Pock & Sabach 2016) and keeps the
+    result if it leaves both supports unchanged and its residual is strictly
+    below x's; otherwise it takes the plain sweep from x and t restarts at 1.
+    Supports are compared as the bytes of each iterate's boolean masks.  By
+    default the iteration starts at the exact identity factorization
+    omega = theta, psi = I (zero residual), so sparsification proceeds from
+    an exact point.
 
     A start that has at most s_omega and s_psi nonzeros and a residual r0 at
     or below ``prob.floor`` is already a solution: it is returned unchanged
@@ -159,12 +158,12 @@ def palm_factorize(
     (omega, psi, residual_history)
         residual_history[i] is the Frobenius residual after kept step i (one
         entry per step, whichever sweep it kept), or [r0] alone for a start
-        returned unchanged; it is non-increasing up to 1e-12 slack, since a
-        kept step is at most the plain sweep's residual.  Iteration stops at
-        k_bar steps, when the relative residual change drops below 1e-10, or
-        when the residual reaches rounding noise, ``prob.floor``; below that
-        floor the change rule can fail forever as the residual alternates
-        between noise values.
+        returned unchanged.  It is non-increasing up to 1e-12 slack, since
+        an extrapolated sweep is kept only below the previous entry.
+        Iteration stops at k_bar steps, when the relative residual change
+        drops below 1e-10, or when the residual reaches rounding noise,
+        ``prob.floor``; below that floor the change rule can fail forever as
+        the residual alternates between noise values.
     """
     theta = prob.theta
     k = theta.shape[1]
@@ -183,24 +182,24 @@ def palm_factorize(
     prev = None
     t = 1.0
     omega_prev, psi_prev = omega, psi
+    supports = (omega != 0).tobytes(), (psi != 0).tobytes()
     for _ in range(prob.k_bar):
-        new_omega, new_psi, res = _sweep(prob, omega, psi)
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         a = (t - 1.0) / t_next
-        if not (_same_support(new_omega, omega) and _same_support(new_psi, psi)):
-            t = 1.0
-        elif a == 0.0:
-            t = t_next
-        else:
-            ext_omega, ext_psi, ext_res = _sweep(
+        advance = False
+        if a > 0.0:
+            new_omega, new_psi, res = _sweep(
                 prob, omega + a * (omega - omega_prev), psi + a * (psi - psi_prev)
             )
-            if ext_res < res and _same_support(ext_omega, omega) and _same_support(ext_psi, psi):
-                new_omega, new_psi, res = ext_omega, ext_psi, ext_res
-                t = t_next
-            else:
-                t = 1.0
+            new_supports = (new_omega != 0).tobytes(), (new_psi != 0).tobytes()
+            advance = res < prev and new_supports == supports
+        if not advance:
+            new_omega, new_psi, res = _sweep(prob, omega, psi)
+            new_supports = (new_omega != 0).tobytes(), (new_psi != 0).tobytes()
+            advance = a == 0.0 and new_supports == supports
+        t = t_next if advance else 1.0
         omega_prev, psi_prev, omega, psi = omega, psi, new_omega, new_psi
+        supports = new_supports
         if not math.isfinite(res):
             raise FloatingPointError("PALM iterates diverged (non-finite residual)")
         history.append(res)

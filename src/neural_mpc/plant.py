@@ -71,8 +71,8 @@ class DiscretePlant:
         self.b = np.asarray(self.b, dtype=float)
         if self.b.ndim == 1:
             self.b = self.b.reshape(-1, 1)
-        if self.ts <= 0:
-            raise ValueError(f"ts must be positive, got {self.ts}")
+        if not (math.isfinite(self.ts) and self.ts > 0):
+            raise ValueError(f"ts must be positive and finite, got {self.ts}")
         if self.a.shape[0] != self.a.shape[1] or self.b.shape[0] != self.a.shape[0]:
             raise ValueError("inconsistent a/b dimensions")
 
@@ -245,11 +245,11 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape[0] != a.shape[0]:
-        b = b.reshape(a.shape[0], -1)
     q = np.atleast_2d(np.asarray(q, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     try:
+        if b.shape[0] != a.shape[0]:
+            b = b.reshape(a.shape[0], -1)
         g = b @ np.linalg.solve(r, b.T)
         try:
             return _checked_dare(a, b, q, r, _sda(a, g, q))
@@ -338,8 +338,8 @@ def propagate_linear(
     model: PlantModel, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 10
 ) -> np.ndarray:
     """Advance the linear plant under a constant input via fixed-step RK4."""
-    if dt <= 0 or substeps < 1:
-        raise ValueError("dt must be positive and substeps >= 1")
+    if not (math.isfinite(dt) and dt > 0) or substeps < 1:
+        raise ValueError("dt must be positive and finite, and substeps >= 1")
     x = np.asarray(x, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not (np.isfinite(x).all() and np.isfinite(u).all()):
@@ -371,8 +371,8 @@ def propagate_nonlinear_cartpole(
     params: CartPoleParams, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 10
 ) -> np.ndarray:
     """Advance the nonlinear cart-pole under a constant input via fixed-step RK4."""
-    if dt <= 0 or substeps < 1:
-        raise ValueError("dt must be positive and substeps >= 1")
+    if not (math.isfinite(dt) and dt > 0) or substeps < 1:
+        raise ValueError("dt must be positive and finite, and substeps >= 1")
     x = np.asarray(x, dtype=float)
     u_scalar = float(np.atleast_1d(u)[0])
     return _rk4(lambda s: cart_pole_rhs(params, s, u_scalar), x, dt, substeps)

@@ -147,6 +147,14 @@ class TestExtractGraph:
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             nm.extract_graph(np.eye(3), threshold=threshold)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, value):
+        # |NaN| > threshold is false, so a NaN edge would silently vanish.
+        w = np.zeros((2, 2))
+        w[0, 1] = value
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            nm.extract_graph(w)
+
 
 class TestDegreeDistributions:
     def test_empty_graph_mass_at_zero(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import neural_mpc as nm
+from neural_mpc import factorizer
 from neural_mpc.factorizer import _hard_threshold, _sweep
 
 
@@ -183,6 +184,49 @@ def palm_sweeps_reference(prob, omega, psi):
     return omega, psi, np.array(history)
 
 
+def palm_plain_first_reference(prob, omega, psi):
+    """The inertial PALM loop as first written, kept as the bitwise oracle.
+
+    Each step runs the plain sweep, then, once a_k > 0 and that sweep kept
+    both supports, an extrapolated sweep that is kept below the plain
+    sweep's residual: up to two sweeps per step.
+    """
+    history = []
+    prev = None
+    t = 1.0
+    omega_prev, psi_prev = omega, psi
+    for _ in range(prob.k_bar):
+        new_omega, new_psi, res = _sweep(prob, omega, psi)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        a = (t - 1.0) / t_next
+        same = np.array_equal(new_omega != 0, omega != 0) and np.array_equal(new_psi != 0, psi != 0)
+        if not same:
+            t = 1.0
+        elif a == 0.0:
+            t = t_next
+        else:
+            ext_omega, ext_psi, ext_res = _sweep(
+                prob, omega + a * (omega - omega_prev), psi + a * (psi - psi_prev)
+            )
+            if (
+                ext_res < res
+                and np.array_equal(ext_omega != 0, omega != 0)
+                and np.array_equal(ext_psi != 0, psi != 0)
+            ):
+                new_omega, new_psi, res = ext_omega, ext_psi, ext_res
+                t = t_next
+            else:
+                t = 1.0
+        omega_prev, psi_prev, omega, psi = omega, psi, new_omega, new_psi
+        history.append(res)
+        if res <= prob.floor:
+            break
+        if prev is not None and abs(res - prev) <= 1e-10 * max(prev, 1e-12):
+            break
+        prev = res
+    return omega, psi, np.array(history)
+
+
 def _palm_start(horizon, budget, k_bar, start):
     """A cart-pole problem at ``horizon`` and its named PALM starting factors."""
     _, _, data = nm.build_problem(nm.ExperimentConfig.cart_pole_default(horizon=horizon))
@@ -238,6 +282,33 @@ class TestPalmBitwiseOracle:
             assert len(hist) == k_bar
         if (horizon, budget, k_bar, start) == (2, 40, 100_000, "identity_layer"):
             assert 5 * len(hist) <= len(want_hist)
+
+    @pytest.mark.parametrize("budget", [30, 40])
+    def test_matches_plain_first_loop(self, budget):
+        # Sweeping the extrapolated point first keeps the same steps here:
+        # factors, signed zeros and history are the plain-first loop's.
+        prob, omega0, psi0 = _palm_start(2, budget, 100_000, "identity_layer")
+        got = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        want = palm_plain_first_reference(prob, omega0.copy(), psi0.copy())
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    def test_one_sweep_per_kept_step(self, monkeypatch):
+        # At the paper's 40/40 budget, 169 steps run 175 sweeps; the
+        # plain-first loop ran 328.
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _sweep(*args)
+
+        monkeypatch.setattr(factorizer, "_sweep", counted)
+        prob, omega0, psi0 = _palm_start(2, 40, 100_000, "identity_layer")
+        _, _, hist = nm.palm_factorize(prob, omega0=omega0, psi0=psi0)
+        assert len(hist) == 169
+        assert len(calls) <= 185
 
     @pytest.mark.parametrize("horizon, s_omega, s_psi", [(2, 144, 144), (40, 480, 57_600)])
     def test_exact_start_returned_untouched(self, horizon, s_omega, s_psi):

@@ -401,6 +401,31 @@ class TestRunExperiment:
         result = nm.run_experiment(small_config())
         assert "gamma" in result.graphs
 
+    def test_oracle_holds_input_on_infeasible_samples(self):
+        # From here no input keeps the pole angle within its bounds over the
+        # horizon: every sample's QP is infeasible, and the oracle holds its
+        # initial zero input.
+        config = small_config(x0=[0.0, 0.0, -0.3, -2.0], duration=0.1, variants=("oracle",))
+        result = nm.run_experiment(config)
+        trace = result.traces["oracle"]
+        assert len(trace.t) == 5
+        assert np.array_equal(trace.u, np.zeros((5, 1)))
+        assert not trace.settled.any()
+        assert result.report["settled_fraction"] == {"oracle": 0.0}
+
+    def test_terminal_weight_given_as_the_dare_solution(self):
+        # A p_term matrix equal to the DARE's solution reproduces the "dare" run.
+        config = small_config()
+        dplant = nm.discretize_zoh(config.plant_model, config.ts)
+        p = nm.solve_dare(dplant.a, dplant.b, config.q, config.r)
+        named = nm.run_experiment(config)
+        given = nm.run_experiment(small_config(p_term=p))
+        assert list(given.traces) == list(named.traces)
+        for variant, trace in named.traces.items():
+            for name in ("t", "x", "u", "settled", "violation"):
+                assert np.array_equal(getattr(given.traces[variant], name), getattr(trace, name))
+        assert given.report["config"]["p_term"] == p.tolist()
+
 
 class TestCsv:
     def test_header_contract(self, tmp_path):
@@ -519,8 +544,13 @@ class TestCli:
             ({"matrix": [[0, 1], [2, 0]], "labels": ["a", 2]}, "labels in "),
             ({"m": 2, "row_labels": ["a", "b"], "network": {"theta": []}}, "no matrix found in "),
             ({"labels": ["a", "b"]}, "no matrix found in "),
+            # json writes these as NaN and Infinity, which json.load reads back
+            ({"matrix": [[0, float("nan")], [float("inf"), 0]]}, "matrix entries must be finite"),
         ],
-        ids=["labels_string", "label_not_string", "condense_without_gamma", "no_matrix"],
+        ids=[
+            "labels_string", "label_not_string", "condense_without_gamma", "no_matrix",
+            "non_finite",
+        ],
     )
     def test_analyze_malformed_matrix_file_exit_1(self, tmp_path, capsys, doc, message):
         path = tmp_path / "matrix.json"

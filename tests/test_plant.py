@@ -315,6 +315,19 @@ class TestSolveDare:
             with pytest.raises(np.linalg.LinAlgError):
                 nm.solve_dare(dp.a, dp.b, np.zeros((4, 4)), np.array([[r]]))
 
+    @pytest.mark.parametrize(
+        "b, q, r",
+        [
+            (np.ones((3, 1)), np.eye(2), np.eye(1)),
+            (np.ones((2, 1)), np.eye(3), np.eye(1)),
+            (np.ones((2, 1)), np.eye(2), np.eye(2)),
+        ],
+    )
+    def test_shape_mismatch_raises_linalg_error(self, b, q, r):
+        # A b, q or r that does not fit a is refused with the documented error.
+        with pytest.raises(np.linalg.LinAlgError, match="cannot solve the DARE"):
+            nm.solve_dare(np.eye(2), b, q, r)
+
     def test_unweighted_unstable_mode_raises(self):
         # The unstable mode is uncontrollable and unweighted: a finite PSD P
         # solves the DARE but does not stabilize.
@@ -366,6 +379,21 @@ class TestPropagation:
         x0 = np.array([0.0, 0.0, 0.1, 0.0])
         out = nm.propagate_linear(model, x0, np.zeros(1), 0.02)
         assert np.max(np.abs(out - dp.a @ x0)) < 1e-9
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
+    def test_rejects_bad_steps(self, dt):
+        model = nm.cart_pole_model()
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            nm.propagate_linear(model, np.zeros(4), np.zeros(1), dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            nm.propagate_nonlinear_cartpole(
+                model.cart_pole_params, np.zeros(4), np.zeros(1), dt
+            )
+
+    @pytest.mark.parametrize("ts", [0.0, -0.02, np.nan, np.inf])
+    def test_discrete_plant_rejects_bad_ts(self, ts):
+        with pytest.raises(ValueError, match="ts must be positive and finite"):
+            nm.DiscretePlant(np.eye(2), np.ones((2, 1)), ts)
 
 
 class TestNonlinearCartPole:
